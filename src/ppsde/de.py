@@ -6,7 +6,9 @@ one scaled difference and applies binomial crossover.  The second moves the
 target toward a random member of the current elite pool plus one scaled
 difference, then applies binomial crossover.  The third blends the target
 with a random member using a uniform random coefficient plus one scaled
-difference and uses no crossover at all.
+difference and uses no crossover at all.  ``make_trials`` builds every row
+of a sub-population in one pass, whatever mix of strategies its rows use,
+and draws each row's distinct indices without rejection.
 
 Each strategy keeps its own circular memories of successful control
 parameters.  New parameters are sampled around a randomly chosen memory
@@ -15,7 +17,8 @@ non-positive, clamped to 1 from above) and the crossover rate from a normal
 distribution truncated to [0, 1].  After a generation, memory cells are
 rewritten from the recorded successes using an improvement-weighted Lehmer
 mean for the scale factor and an improvement-weighted arithmetic mean for
-the crossover rate.
+the crossover rate.  Sampling and recording both take whole arrays, so a
+generation needs one call of each per sub-population or strategy.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ __all__ = [
     "generate_current_to_rand",
     "generate_rand_1_bin",
     "improvement_weights",
+    "make_trials",
     "pbest_pool_size",
     "rand_1_bin_batch",
     "repair_bounds",
@@ -88,17 +92,16 @@ class ParameterMemory:
         self.f_memory = np.full((n, self.length), 0.5)
         self.cr_memory = np.full((n, self.length), 0.5)
         self.pointer = np.zeros(n, dtype=int)
-        self._success_f = [[] for _ in range(n)]
-        self._success_cr = [[] for _ in range(n)]
-        self._success_delta = [[] for _ in range(n)]
+        self._successes = [[] for _ in range(n)]
 
     def sample_parameters_many(self, strategy, size, rng):
-        """Sample ``size`` (F, CR) pairs for one strategy.
+        """Sample ``size`` (F, CR) pairs, one strategy or one per row.
 
-        Each pair shares one randomly chosen memory cell.  F is Cauchy
-        around the cell with spread 0.1, redrawn while <= 0 and clamped to 1
-        from above, so F is always in (0, 1].  CR is normal around the cell
-        with spread 0.1, truncated into [0, 1].
+        ``strategy`` is a single strategy or an array of ``size`` strategies.
+        Each pair uses one randomly chosen memory cell of its strategy.  F is
+        Cauchy around the cell with spread 0.1, redrawn while <= 0 and
+        clamped to 1 from above, so F is always in (0, 1].  CR is normal
+        around the cell with spread 0.1, truncated into [0, 1].
         """
         cells = rng.integers(0, self.length, size=size)
         loc_f = self.f_memory[strategy, cells]
@@ -120,38 +123,35 @@ class ParameterMemory:
         return float(f[0]), float(cr[0])
 
     def record_success(self, strategy, f, cr, delta):
-        """Record the control parameters of a replacement that actually happened."""
-        if delta < 0:
+        """Record the control parameters of replacements that actually happened.
+
+        ``f``, ``cr`` and ``delta`` are aligned arrays of one strategy's
+        successes in order; scalars record a single success.
+        """
+        f, cr, delta = (np.array(v, dtype=float, ndmin=1) for v in (f, cr, delta))
+        if not f.shape == cr.shape == delta.shape:
+            raise ValueError("successes must be aligned")
+        if (delta < 0).any():
             raise ValueError("improvement must be >= 0")
-        self._success_f[strategy].append(float(f))
-        self._success_cr[strategy].append(float(cr))
-        self._success_delta[strategy].append(float(delta))
+        self._successes[strategy].append((f, cr, delta))
 
     def update_memory(self, strategy):
         """Fold this generation's successes into the strategy's memories.
 
-        Non-empty success sets rewrite the cell at the strategy's pointer:
-        the F cell with the weighted Lehmer mean, the CR cell with the
-        weighted arithmetic mean.  The pointer advances only when a cell
-        changed, and the success sets are always cleared.
+        A non-empty success set rewrites the cells at the strategy's
+        pointer: the F cell with the weighted Lehmer mean, the CR cell with
+        the weighted arithmetic mean, and the pointer advances.  The success
+        set is always cleared.
         """
-        s_f = self._success_f[strategy]
-        s_cr = self._success_cr[strategy]
-        changed = False
-        if s_f or s_cr:
-            w = improvement_weights(self._success_delta[strategy])
-            if s_f:
-                sf = np.asarray(s_f)
-                self.f_memory[strategy, self.pointer[strategy]] = (w * sf**2).sum() / (w * sf).sum()
-                changed = True
-            if s_cr:
-                self.cr_memory[strategy, self.pointer[strategy]] = (w * np.asarray(s_cr)).sum()
-                changed = True
-        if changed:
-            self.pointer[strategy] = (self.pointer[strategy] + 1) % self.length
-        self._success_f[strategy] = []
-        self._success_cr[strategy] = []
-        self._success_delta[strategy] = []
+        if self._successes[strategy]:
+            s_f, s_cr, s_delta = (np.concatenate(c) for c in zip(*self._successes[strategy]))
+            if s_f.size:
+                w = improvement_weights(s_delta)
+                p = self.pointer[strategy]
+                self.f_memory[strategy, p] = (w * s_f**2).sum() / (w * s_f).sum()
+                self.cr_memory[strategy, p] = (w * s_cr).sum()
+                self.pointer[strategy] = (p + 1) % self.length
+        self._successes[strategy] = []
 
 
 # ---------------------------------------------------------------------------
@@ -230,34 +230,64 @@ def repair_bounds(candidate, parent, problem):
                    problem.lower, problem.upper)
 
 
-def _distinct_indices(n_pop, targets, count, rng):
-    """Per-target random index rows, mutually distinct and distinct from the target."""
+def _three_distinct(targets, n_pop, u):
+    """Three mutually distinct indices per row, none equal to the row's target.
+
+    Index k takes the rank ``floor(u[:, k] * (n_pop - 1 - k))`` among the
+    indices still free and steps over the taken ones in ascending order, so
+    no draw is ever rejected.
+    """
+    r0, r1, r2 = (u * (n_pop - 1, n_pop - 2, n_pop - 3)).astype(np.intp).T
+    r0 += r0 >= targets
+    lo, hi = np.minimum(targets, r0), np.maximum(targets, r0)
+    r1 += r1 >= lo
+    r1 += r1 >= hi
+    for taken in (np.minimum(lo, r1), np.maximum(lo, np.minimum(hi, r1)), np.maximum(hi, r1)):
+        r2 += r2 >= taken
+    return r0, r1, r2
+
+
+def make_trials(pop, targets, strategies, f, cr, pool_size, lower, upper, rng):
+    """Trials for a set of target rows in one pass, each row under its own strategy.
+
+    ``targets``, ``strategies``, ``f`` and ``cr`` are aligned per-row arrays,
+    and ``pop`` must be sorted best-first, since the elite pool is its head
+    ``pool_size`` rows.  Each row's indices r0, r1, r2 come from
+    ``_three_distinct``.  The donor is ``x_b + K (x_a - x_b) + F (x_r1 - x_r2)``:
+    rand/1 has base ``x_r0`` and K = 0; current-to-pbest/1 has the target as
+    base, a uniform elite member as ``x_a`` and K = F; current-to-rand/1 has
+    the target as base, ``x_a = x_r0`` and a uniform K in [0, 1).  Binomial
+    crossover with one guaranteed donor coordinate applies to the first two
+    strategies only, and midpoint repair follows.  Integer draws are floors
+    of uniform doubles, so each of k choices has probability 1/k to within
+    2**-52.
+    """
     targets = np.asarray(targets)
-    idx = rng.integers(0, n_pop, size=(len(targets), count))
-    while True:
-        bad = (idx == targets[:, None]).any(axis=1)
-        for a in range(count):
-            for b in range(a):
-                bad |= idx[:, a] == idx[:, b]
-        if not bad.any():
-            return idx
-        idx[bad] = rng.integers(0, n_pop, size=(int(bad.sum()), count))
+    m = len(targets)
+    n, d = pop.shape
+    u = rng.random((m, 5))
+    r0, r1, r2 = _three_distinct(targets, n, u[:, :3])
+    elite, j_rand = (u[:, 3:] * (pool_size, d)).astype(np.intp).T
 
+    # one row mask per strategy, in Strategy order
+    rand_1, pbest, cur_rand = strategies == np.arange(len(STRATEGIES))[:, None]
+    base = np.where(rand_1, r0, targets)
+    coef = np.where(rand_1, 0.0, np.where(pbest, f, rng.random(m)))
+    x_b = pop[base]
+    x_a = pop[np.where(pbest, elite, r0)]
+    donor = x_b + coef[:, None] * (x_a - x_b) + f[:, None] * (pop[r1] - pop[r2])
 
-def _binomial_crossover(target, donor, cr, rng):
-    m, d = target.shape
     mask = rng.random((m, d)) < cr[:, None]
-    mask[np.arange(m), rng.integers(0, d, size=m)] = True  # guaranteed donor coordinate
-    return np.where(mask, donor, target)
+    mask[np.arange(m), j_rand] = True
+    mask |= cur_rand[:, None]
+    x = pop[targets]
+    return _repair(np.where(mask, donor, x), x, lower, upper)
 
 
 def rand_1_bin_batch(pop, targets, f, cr, lower, upper, rng):
     """Random base plus one scaled difference, binomial crossover, repair."""
-    targets = np.asarray(targets)
-    r = _distinct_indices(len(pop), targets, 3, rng)
-    donor = pop[r[:, 0]] + f[:, None] * (pop[r[:, 1]] - pop[r[:, 2]])
-    trial = _binomial_crossover(pop[targets], donor, cr, rng)
-    return _repair(trial, pop[targets], lower, upper)
+    return make_trials(pop, targets, np.full_like(targets, Strategy.RAND_1_BIN), f, cr, 1,
+                       lower, upper, rng)
 
 
 def current_to_pbest_batch(pop, targets, pool_size, f, cr, lower, upper, rng):
@@ -266,23 +296,14 @@ def current_to_pbest_batch(pop, targets, pool_size, f, cr, lower, upper, rng):
     ``pop`` must already be sorted best-first so the elite pool is its head.
     Binomial crossover and midpoint repair follow; no archive is used.
     """
-    targets = np.asarray(targets)
-    pbest = rng.integers(0, pool_size, size=len(targets))
-    r = _distinct_indices(len(pop), targets, 2, rng)
-    x = pop[targets]
-    donor = x + f[:, None] * (pop[pbest] - x) + f[:, None] * (pop[r[:, 0]] - pop[r[:, 1]])
-    trial = _binomial_crossover(x, donor, cr, rng)
-    return _repair(trial, x, lower, upper)
+    return make_trials(pop, targets, np.full_like(targets, Strategy.CURRENT_TO_PBEST), f, cr,
+                       pool_size, lower, upper, rng)
 
 
 def current_to_rand_batch(pop, targets, f, lower, upper, rng):
     """Blend toward a random member plus one scaled difference; no crossover."""
-    targets = np.asarray(targets)
-    r = _distinct_indices(len(pop), targets, 3, rng)
-    x = pop[targets]
-    blend = rng.random(len(targets))
-    trial = x + blend[:, None] * (pop[r[:, 0]] - x) + f[:, None] * (pop[r[:, 1]] - pop[r[:, 2]])
-    return _repair(trial, x, lower, upper)
+    return make_trials(pop, targets, np.full_like(targets, Strategy.CURRENT_TO_RAND), f,
+                       np.ones(len(targets)), 1, lower, upper, rng)
 
 
 def _stacked(population):

@@ -29,13 +29,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .de import (
+from .de import (  # noqa: F401 - the *_batch names stay bound for perfbench/tracing.py
     STRATEGIES,
     ParameterMemory,
-    Strategy,
     StrategyStats,
     current_to_pbest_batch,
     current_to_rand_batch,
+    make_trials,
     pbest_pool_size,
     rand_1_bin_batch,
     select_strategies,
@@ -167,6 +167,21 @@ def _resolve(problem, config):
         raise ValueError("learning period and memory length must be >= 1")
     if not 0 < config.p_fraction <= 1:
         raise ValueError("p_fraction must lie in (0, 1]")
+    # every remaining check is written so that NaN fails it
+    checks = (
+        (config.sigma is None or config.sigma >= 0, "sigma must be >= 0"),
+        (not math.isnan(config.switch_threshold), "switch_threshold must be a number"),
+        (0 < config.switch_delta < math.inf, "switch_delta must be positive and finite"),
+        (config.eps_initial is None or config.eps_initial >= 0, "eps_initial must be >= 0"),
+        (0 <= config.eps_quantile <= 1, "eps_quantile must lie in [0, 1]"),
+        (0 <= config.eps_shrink < 1, "eps_shrink must lie in [0, 1)"),
+        (0 <= config.eps_feasible_trigger <= 1, "eps_feasible_trigger must lie in [0, 1]"),
+        (0 < config.eps_decay_power < math.inf, "eps_decay_power must be positive and finite"),
+        (0 < config.eps_cutoff_fraction <= 1, "eps_cutoff_fraction must lie in (0, 1]"),
+    )
+    for ok, message in checks:
+        if not ok:
+            raise ValueError(message)
     return replace(config, n_pop=int(n), top_size=int(t), max_fes=int(fes))
 
 
@@ -182,9 +197,9 @@ def _strictly_better(mode, phi_new, f_new, phi_old, f_old, eps):
     if mode == PUSH:
         return f_new < f_old
     if mode == PULL:
-        forward = pull_accept_mask(phi_old, f_old, phi_new, f_new, eps)
-        backward = pull_accept_mask(phi_new, f_new, phi_old, f_old, eps)
-        return forward & ~backward
+        # pull acceptance old -> new and not new -> old, merged into one pass
+        return np.where(_objective_decided(PULL, phi_old, phi_new, eps),
+                        f_new < f_old, phi_new < phi_old)
     return sf_better_mask(phi_new, f_new, phi_old, f_old)
 
 
@@ -242,6 +257,12 @@ def run(problem, config, *, force_win_strategy=None):
     best_g = g[idx].copy()
     best_h = h[idx].copy()
 
+    pool = pbest_pool_size(n, cfg.p_fraction)
+    top_idx = np.arange(t)
+    top_targets = np.tile(top_idx, 3)
+    top_strategies = np.repeat(np.arange(len(STRATEGIES)), t)  # strategy-major
+    bottom_idx = np.arange(t, n)
+
     rows = []
     generation = 0
     while fes + gen_cost <= cfg.max_fes:
@@ -257,109 +278,58 @@ def run(problem, config, *, force_win_strategy=None):
 
         order = sf_order(f, phi)
         pop, f, phi, g, h = pop[order], f[order], phi[order], g[order], h[order]
-        pool = pbest_pool_size(n, cfg.p_fraction)
-        top_idx = np.arange(t)
-
-        trials = []
-        params = []
-        for s in STRATEGIES:
-            fs, crs = memory.sample_parameters_many(s, t, rng)
-            if s == Strategy.RAND_1_BIN:
-                tx = rand_1_bin_batch(pop, top_idx, fs, crs, lower, upper, rng)
-            elif s == Strategy.CURRENT_TO_PBEST:
-                tx = current_to_pbest_batch(pop, top_idx, pool, fs, crs, lower, upper, rng)
-            else:
-                tx = current_to_rand_batch(pop, top_idx, fs, lower, upper, rng)
-            trials.append(tx)
-            params.append((fs, crs))
-
-        tx_all = np.concatenate(trials)
-        tf, tg, th, tphi = evaluate_many(problem, tx_all)
+        top_f, top_cr = memory.sample_parameters_many(top_strategies, 3 * t, rng)
+        tx = make_trials(pop, top_targets, top_strategies, top_f, top_cr, pool,
+                         lower, upper, rng)
+        tf, tg, th, tphi = evaluate_many(problem, tx)
         fes += 3 * t
-        tf = tf.reshape(3, t)
-        tphi = tphi.reshape(3, t)
-        tg = tg.reshape(3, t, g.shape[1])
-        th = th.reshape(3, t, h.shape[1])
 
-        ar = np.arange(t)
+        tf3, tphi3 = tf.reshape(3, t), tphi.reshape(3, t)
         if force_win_strategy is not None:
             winner = np.full(t, int(force_win_strategy))
         else:
             winner = np.zeros(t, dtype=int)
             for c in (1, 2):
-                w_phi = tphi[winner, ar]
-                w_f = tf[winner, ar]
-                better = _strictly_better(comparator, tphi[c], tf[c], w_phi, w_f, eps)
+                better = _strictly_better(comparator, tphi3[c], tf3[c],
+                                          tphi3[winner, top_idx], tf3[winner, top_idx], eps)
                 winner = np.where(better, c, winner)
+        won = winner * t + top_idx  # flat rows of the winning top trials
 
         wins = np.bincount(winner, minlength=3)
         stats.record_generation(wins)
         sr = stats.success_rates(generation)
 
-        best_trial_f = tf[winner, ar]
-        best_trial_phi = tphi[winner, ar]
-        top_accept = _accept_mask(comparator, phi[:t], f[:t], best_trial_phi, best_trial_f, eps)
-
         picks = select_strategies(stats, generation, n_bottom, rng)
-        bottom_idx = np.arange(t, n)
-        b_x = np.empty((n_bottom, d))
-        b_f_param = np.empty(n_bottom)
-        b_cr_param = np.empty(n_bottom)
-        for s in STRATEGIES:
-            chosen = picks == int(s)
-            count = int(chosen.sum())
-            if count == 0:
-                continue
-            fs, crs = memory.sample_parameters_many(s, count, rng)
-            tgt = bottom_idx[chosen]
-            if s == Strategy.RAND_1_BIN:
-                bx = rand_1_bin_batch(pop, tgt, fs, crs, lower, upper, rng)
-            elif s == Strategy.CURRENT_TO_PBEST:
-                bx = current_to_pbest_batch(pop, tgt, pool, fs, crs, lower, upper, rng)
-            else:
-                bx = current_to_rand_batch(pop, tgt, fs, lower, upper, rng)
-            b_x[chosen] = bx
-            b_f_param[chosen] = fs
-            b_cr_param[chosen] = crs
-
-        b_f, b_g, b_h, b_phi = evaluate_many(problem, b_x)
+        b_f_param, b_cr_param = memory.sample_parameters_many(picks, n_bottom, rng)
+        bx = make_trials(pop, bottom_idx, picks, b_f_param, b_cr_param, pool,
+                         lower, upper, rng)
+        b_f, b_g, b_h, b_phi = evaluate_many(problem, bx)
         fes += n_bottom
-        bottom_accept = _accept_mask(comparator, phi[t:], f[t:], b_phi, b_f, eps)
+
+        # one candidate per member: its best top trial, or its bottom trial
+        c_x = np.concatenate((tx[won], bx))
+        c_f = np.concatenate((tf[won], b_f))
+        c_phi = np.concatenate((tphi[won], b_phi))
+        accept = _accept_mask(comparator, phi, f, c_phi, c_f, eps)
 
         # improvements are measured against the criterion that decided the
         # replacement, before any replacement is applied
-        top_obj = _objective_decided(comparator, phi[:t], best_trial_phi, eps)
-        top_delta = np.where(top_obj, np.abs(f[:t] - best_trial_f),
-                             np.abs(phi[:t] - best_trial_phi))
-        for i in np.nonzero(top_accept)[0]:
-            s = int(winner[i])
-            memory.record_success(STRATEGIES[s], params[s][0][i], params[s][1][i],
-                                  top_delta[i])
-        bottom_obj = _objective_decided(comparator, phi[t:], b_phi, eps)
-        bottom_delta = np.where(bottom_obj, np.abs(f[t:] - b_f), np.abs(phi[t:] - b_phi))
-        for i in np.nonzero(bottom_accept)[0]:
-            memory.record_success(STRATEGIES[int(picks[i])], b_f_param[i], b_cr_param[i],
-                                  bottom_delta[i])
-
-        replaced = np.nonzero(top_accept)[0]
-        if replaced.size:
-            tx3 = tx_all.reshape(3, t, d)
-            pop[replaced] = tx3[winner[replaced], replaced]
-            f[replaced] = best_trial_f[replaced]
-            phi[replaced] = best_trial_phi[replaced]
-            g[replaced] = tg[winner[replaced], replaced]
-            h[replaced] = th[winner[replaced], replaced]
-        replaced = np.nonzero(bottom_accept)[0]
-        if replaced.size:
-            rows_idx = bottom_idx[replaced]
-            pop[rows_idx] = b_x[replaced]
-            f[rows_idx] = b_f[replaced]
-            phi[rows_idx] = b_phi[replaced]
-            g[rows_idx] = b_g[replaced]
-            h[rows_idx] = b_h[replaced]
-
+        delta = np.where(_objective_decided(comparator, phi, c_phi, eps),
+                         np.abs(f - c_f), np.abs(phi - c_phi))
+        c_strategy = np.concatenate((winner, picks))
+        c_fp = np.concatenate((top_f[won], b_f_param))
+        c_crp = np.concatenate((top_cr[won], b_cr_param))
         for s in STRATEGIES:
+            chosen = accept & (c_strategy == s)
+            if chosen.any():
+                memory.record_success(s, c_fp[chosen], c_crp[chosen], delta[chosen])
             memory.update_memory(s)
+
+        pop[accept] = c_x[accept]
+        f[accept] = c_f[accept]
+        phi[accept] = c_phi[accept]
+        g[accept] = np.concatenate((tg[won], b_g))[accept]
+        h[accept] = np.concatenate((th[won], b_h))[accept]
 
         pop_min_f = float(f.min())
         idx = sf_best_index(f, phi)

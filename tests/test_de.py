@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppsde.de import (
     STRATEGIES,
@@ -11,7 +13,9 @@ from ppsde.de import (
     generate_current_to_pbest,
     generate_current_to_rand,
     generate_rand_1_bin,
+    _three_distinct,
     improvement_weights,
+    make_trials,
     pbest_pool_size,
     rand_1_bin_batch,
     repair_bounds,
@@ -104,6 +108,42 @@ class TestParameterMemory:
         before = mem.f_memory[0].copy()
         mem.update_memory(Strategy.RAND_1_BIN)  # nothing new recorded
         np.testing.assert_array_equal(mem.f_memory[0], before)
+
+    @settings(max_examples=60, deadline=None)
+    @given(successes=st.lists(st.tuples(st.floats(0.01, 1.0), st.floats(0.0, 1.0),
+                                        st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1e3)),
+                              min_size=1, max_size=30),
+           cuts=st.lists(st.integers(0, 30), max_size=4),
+           strategy=st.sampled_from(STRATEGIES))
+    def test_array_records_match_scalar_records_bit_for_bit(self, successes, cuts, strategy):
+        f, cr, delta = (np.array(col) for col in zip(*successes))
+        one_by_one, chunked = ParameterMemory(length=3), ParameterMemory(length=3)
+        for generation in range(2):
+            for i in range(len(f)):
+                one_by_one.record_success(strategy, f[i], cr[i], delta[i])
+            for part in np.split(np.arange(len(f)), sorted(set(cuts))):
+                chunked.record_success(strategy, f[part], cr[part], delta[part])
+            one_by_one.update_memory(strategy)
+            chunked.update_memory(strategy)
+        for name in ("f_memory", "cr_memory", "pointer"):
+            assert getattr(one_by_one, name).tobytes() == getattr(chunked, name).tobytes()
+
+    def test_misaligned_successes_rejected(self):
+        with pytest.raises(ValueError):
+            ParameterMemory().record_success(Strategy.RAND_1_BIN, [0.5, 0.6], [0.5], [1.0, 1.0])
+
+    def test_per_row_strategies_sample_their_own_cells(self):
+        mem = ParameterMemory(length=2)
+        mem.f_memory[:] = [[0.1], [0.5], [0.9]]
+        mem.cr_memory[:] = [[0.0], [0.5], [1.0]]
+        strategies = np.repeat([0, 1, 2], 4000)
+        f, cr = mem.sample_parameters_many(strategies, strategies.size, np.random.default_rng(5))
+        # CR is normal around the cell, so its median is the cell even where
+        # truncation piles draws on 0 or 1
+        medians = [np.median(cr[strategies == s]) for s in range(3)]
+        np.testing.assert_allclose(medians, [0.0, 0.5, 1.0], atol=0.01)
+        f_medians = [np.median(f[strategies == s]) for s in range(3)]
+        assert f_medians[0] < f_medians[1] < f_medians[2]
 
     def test_negative_delta_rejected(self):
         mem = ParameterMemory()
@@ -292,3 +332,84 @@ class TestTrialGeneration:
                 if np.allclose(got, pop[0] + pop[r0] - pop[r1]):
                     found = True
         assert found
+
+
+@st.composite
+def trial_batches(draw):
+    """A population of 4..60 rows, any targets and any mix of strategies."""
+    n = draw(st.integers(4, 60))
+    m = draw(st.integers(1, 40))
+    rows = st.lists(st.integers(0, n - 1), min_size=m, max_size=m)
+    kinds = st.lists(st.sampled_from([int(s) for s in STRATEGIES]), min_size=m, max_size=m)
+    return (n, draw(st.integers(1, 8)), np.array(draw(rows)), np.array(draw(kinds)),
+            draw(st.integers(1, n)), draw(st.integers(0, 2**32 - 1)))
+
+
+class TestMakeTrials:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(4, 60), data=st.data())
+    def test_indices_distinct_and_never_the_target(self, n, data):
+        m = data.draw(st.integers(1, 40))
+        targets = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)))
+        unit = st.sampled_from([0.0, np.nextafter(1.0, 0.0)]) | st.floats(0.0, 1.0,
+                                                                           exclude_max=True)
+        u = np.array(data.draw(st.lists(st.tuples(unit, unit, unit), min_size=m, max_size=m)))
+        r = np.stack(_three_distinct(targets, n, u), axis=1)
+        assert np.all((r >= 0) & (r < n))
+        taken = np.column_stack((targets, r))
+        assert all(len(set(row)) == 4 for row in taken.tolist())
+
+    @settings(max_examples=100, deadline=None)
+    @given(trial_batches())
+    def test_trials_inside_the_box(self, case):
+        n, d, targets, strategies, pool, seed = case
+        rng = np.random.default_rng(seed)
+        lower, upper = np.full(d, -1.0), np.full(d, 2.0)
+        pop = rng.uniform(lower, upper, (n, d))
+        m = len(targets)
+        trial = make_trials(pop, targets, strategies, rng.uniform(0.01, 1.0, m),
+                            rng.random(m), pool, lower, upper, rng)
+        assert trial.shape == (m, d)
+        assert np.all((trial >= lower) & (trial <= upper))
+
+    @settings(max_examples=100, deadline=None)
+    @given(trial_batches())
+    def test_zero_crossover_changes_one_coordinate_except_current_to_rand(self, case):
+        n, d, targets, strategies, pool, seed = case
+        rng = np.random.default_rng(seed)
+        pop = rng.uniform(-5.0, 5.0, (n, d))
+        m = len(targets)
+        trial = make_trials(pop, targets, strategies, rng.uniform(0.1, 1.0, m), np.zeros(m),
+                            pool, np.full(d, -5.0), np.full(d, 5.0), rng)
+        changed = (trial != pop[targets]).sum(axis=1)
+        binomial = strategies != Strategy.CURRENT_TO_RAND
+        assert np.all(changed[binomial] == 1)
+        # no crossover: every coordinate of a current-to-rand row moves
+        assert np.all(changed[~binomial] == d)
+
+    @settings(max_examples=100, deadline=None)
+    @given(trial_batches())
+    def test_zero_scale_full_crossover_copies_the_base_on_rand_1_rows(self, case):
+        n, d, targets, strategies, pool, seed = case
+        rng = np.random.default_rng(seed)
+        pop = rng.uniform(-5.0, 5.0, (n, d))
+        m = len(targets)
+        trial = make_trials(pop, targets, strategies, np.zeros(m), np.ones(m), pool,
+                            np.full(d, -5.0), np.full(d, 5.0), rng)
+        for row in np.nonzero(strategies == Strategy.RAND_1_BIN)[0]:
+            matches = np.nonzero((pop == trial[row]).all(axis=1))[0]
+            assert len(matches) == 1 and matches[0] != targets[row]
+
+    def test_every_other_index_equally_likely_in_each_role(self):
+        # one-hot rows with F = 1/2 and CR = 1 make each rand/1 trial read
+        # e_r0 + e_r1 / 2 - e_r2 / 2, so the three roles decode exactly
+        n, m, target = 6, 60000, 2
+        trial = make_trials(np.eye(n), np.full(m, target), np.zeros(m, dtype=int),
+                            np.full(m, 0.5), np.ones(m), 1, np.full(n, -2.0), np.full(n, 2.0),
+                            np.random.default_rng(23))
+        assert np.all(np.sort(trial, axis=1) == [-0.5, 0, 0, 0, 0.5, 1.0])
+        for value in (1.0, 0.5, -0.5):
+            counts = np.bincount(np.nonzero(trial == value)[1], minlength=n)
+            assert counts[target] == 0
+            # 4.5 standard deviations of a binomial(60000, 1/5) count
+            np.testing.assert_allclose(counts[np.arange(n) != target], m / 5, atol=440)

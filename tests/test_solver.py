@@ -1,10 +1,14 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ppsde.phases import PULL
 from ppsde.problems import make_suite_problem
-from ppsde.selection import sf_better_mask
+from ppsde.selection import pull_accept_mask, sf_better_mask
 from ppsde.solver import (
     ALGORITHMS,
     RunConfig,
@@ -14,7 +18,7 @@ from ppsde.solver import (
     run_baseline,
     run_ppsde,
 )
-from ppsde.solver import _resolve
+from ppsde.solver import _resolve, _strictly_better
 
 from conftest import make_individual
 
@@ -54,6 +58,43 @@ class TestResolve:
             _resolve(prob, RunConfig(learning_period=0))
         with pytest.raises(ValueError):
             _resolve(prob, RunConfig(p_fraction=0.0))
+
+    @pytest.mark.parametrize("bad", [
+        {"eps_shrink": 1.5}, {"eps_quantile": 2.0}, {"switch_threshold": math.nan},
+        {"eps_decay_power": -1.0}, {"eps_cutoff_fraction": -1.0},
+        {"eps_feasible_trigger": math.nan}, {"switch_delta": 0.0}, {"eps_initial": -1.0},
+        {"sigma": math.nan}, {"n_pop": 3}, {"p_fraction": 0.0},
+    ], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
+    def test_invalid_config_rejected_before_the_first_evaluation(self, bad):
+        prob = make_suite_problem("P2", 4)
+        calls = []
+
+        def counted(xs):
+            calls.append(len(xs))
+            return prob.objective(xs)
+
+        counting = dataclasses.replace(prob, objective=counted)
+        with pytest.raises(ValueError):
+            run(counting, RunConfig(seed=0, max_fes=8000, **bad))
+        assert calls == []
+        run(counting, RunConfig(seed=0, max_fes=200))
+        assert calls
+
+
+PHI = st.sampled_from([0.0, -0.0, 0.5, 1.0, math.inf]) | st.floats(0.0, 10.0)
+F = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-1e3, 1e3)
+
+
+class TestStrictlyBetter:
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=st.lists(st.tuples(PHI, F, PHI, F), min_size=1, max_size=20),
+           eps=st.sampled_from([0.0, math.inf, 0.5, 1.0]) | st.floats(0.0, 10.0))
+    def test_merged_pull_comparison_equals_two_way_acceptance(self, pairs, eps):
+        phi_new, f_new, phi_old, f_old = (np.array(col) for col in zip(*pairs))
+        expected = (pull_accept_mask(phi_old, f_old, phi_new, f_new, eps)
+                    & ~pull_accept_mask(phi_new, f_new, phi_old, f_old, eps))
+        got = _strictly_better(PULL, phi_new, f_new, phi_old, f_old, eps)
+        np.testing.assert_array_equal(got, expected)
 
 
 class TestBestSoFar:
