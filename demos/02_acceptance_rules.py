@@ -3,45 +3,47 @@
 Push ignores constraints and chases the objective.  Feasibility-first
 always prefers feasible points and compares infeasible ones by violation.
 Pull interpolates: violations up to a relaxation level eps are treated as
-equal so the objective can decide, and eps = 0 recovers the
-feasibility-first behavior.
-"""
+equal so the objective can decide.  At eps = 0 pull comes close to
+feasibility-first but is not the same rule: when both violations are equal
+and positive, pull lets the objective decide, while feasibility-first sees
+a tie and accepts the trial.
 
-from ppsde import Evaluation, Individual
-from ppsde.selection import pull_select, push_select, sf_compare
+Each rule decides the whole table in one call on aligned arrays.
+"""
 
 import numpy as np
 
+from ppsde.selection import pull_accept_mask, push_accept_mask, sf_accept_mask
 
-def ind(f, phi):
-    g = np.array([phi]) if phi > 0 else np.array([-1.0])
-    return Individual(x=np.zeros(2),
-                      evaluation=Evaluation(f=f, g_values=g, h_values=np.empty(0),
-                                            phi=phi))
-
-
+# label, parent (f, phi), trial (f, phi)
 PAIRS = [
-    ("feasible, better f",        ind(2.0, 0.0), ind(1.0, 0.0)),
-    ("feasible, worse f",         ind(1.0, 0.0), ind(2.0, 0.0)),
-    ("leaves feasibility for f",  ind(5.0, 0.0), ind(1.0, 0.4)),
-    ("both violated, better f",   ind(5.0, 0.3), ind(1.0, 0.5)),
-    ("both violated, less phi",   ind(1.0, 0.5), ind(5.0, 0.3)),
+    ("feasible, better f",        (2.0, 0.0), (1.0, 0.0)),
+    ("feasible, worse f",         (1.0, 0.0), (2.0, 0.0)),
+    ("leaves feasibility for f",  (5.0, 0.0), (1.0, 0.4)),
+    ("both violated, better f",   (5.0, 0.3), (1.0, 0.5)),
+    ("both violated, less phi",   (1.0, 0.5), (5.0, 0.3)),
+    ("equal phi, worse f",        (1.0, 0.5), (5.0, 0.5)),
 ]
 
-print(f"{'parent -> trial':<28} {'push':>6} {'sf':>16} {'pull(0.6)':>10} {'pull(0)':>8}")
-for label, parent, trial in PAIRS:
-    push = push_select(parent, trial)
-    sf = sf_compare(trial, parent).value
-    pull_relaxed = pull_select(parent, trial, eps=0.6)
-    pull_tight = pull_select(parent, trial, eps=0.0)
-    print(f"{label:<28} {str(push):>6} {sf:>16} {str(pull_relaxed):>10} "
-          f"{str(pull_tight):>8}")
+labels = [label for label, _, _ in PAIRS]
+f_p, phi_p = np.array([parent for _, parent, _ in PAIRS]).T
+f_t, phi_t = np.array([trial for _, _, trial in PAIRS]).T
+
+columns = {
+    "push": push_accept_mask(f_p, f_t),
+    "sf": sf_accept_mask(phi_p, f_p, phi_t, f_t),
+    "pull(0.6)": pull_accept_mask(phi_p, f_p, phi_t, f_t, eps=0.6),
+    "pull(0)": pull_accept_mask(phi_p, f_p, phi_t, f_t, eps=0.0),
+}
+
+print(f"{'parent -> trial':<28}" + "".join(f"{name:>10}" for name in columns))
+for i, label in enumerate(labels):
+    print(f"{label:<28}" + "".join(f"{str(bool(col[i])):>10}" for col in columns.values()))
 
 print()
-print("reading the table: 'push' and the two 'pull' columns say whether the")
-print("trial replaces the parent; 'sf' is the trial's standing under the")
-print("feasibility-first comparison.  The relaxed pull accepts the third and")
-print("fourth trials because their violations sit inside the eps band.  At")
-print("eps = 0 the pull column tracks the sf column row for row: it accepts")
-print("exactly the trials that feasibility-first comparison does not rank")
-print("below the parent.")
+print("reading the table: every column says whether the trial replaces the")
+print("parent.  The relaxed pull accepts the third and fourth trials because")
+print("their violations sit inside the eps band.  At eps = 0 the pull column")
+print("matches the sf column on every row but the last: with equal positive")
+print("violations pull lets the objective decide and rejects the worse trial,")
+print("while feasibility-first sees a violation tie and accepts it.")

@@ -13,12 +13,8 @@ from .de import (
     ParameterMemory,
     Strategy,
     StrategyStats,
-    generate_current_to_pbest,
-    generate_current_to_rand,
-    generate_rand_1_bin,
     pbest_pool_size,
     repair_bounds,
-    select_strategy,
 )
 from .phases import EpsilonSchedule, PhaseTracker
 from .problems import (
@@ -30,33 +26,21 @@ from .problems import (
     canonical_problem_id,
     evaluate,
     evaluate_many,
-    is_feasible,
     make_suite_problem,
     overall_violation,
-)
-from .selection import (
-    Comparison,
-    pull_select,
-    push_select,
-    sf_compare,
-    sort_sf,
 )
 from .solver import (
     ALGORITHMS,
     RunConfig,
     RunResult,
-    best_so_far,
     run,
-    run_baseline,
-    run_ppsde,
 )
 from .stats import friedman_aligned, summarize
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "ALGORITHMS",
-    "Comparison",
     "EpsilonSchedule",
     "Evaluation",
     "EvaluationError",
@@ -70,26 +54,14 @@ __all__ = [
     "SUITE_IDS",
     "Strategy",
     "StrategyStats",
-    "best_so_far",
     "canonical_problem_id",
     "evaluate",
     "evaluate_many",
     "friedman_aligned",
-    "generate_current_to_pbest",
-    "generate_current_to_rand",
-    "generate_rand_1_bin",
-    "is_feasible",
     "make_suite_problem",
     "overall_violation",
     "pbest_pool_size",
-    "pull_select",
-    "push_select",
     "repair_bounds",
     "run",
-    "run_baseline",
-    "run_ppsde",
-    "select_strategy",
-    "sf_compare",
-    "sort_sf",
     "summarize",
 ]

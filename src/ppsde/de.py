@@ -35,16 +35,12 @@ __all__ = [
     "StrategyStats",
     "current_to_pbest_batch",
     "current_to_rand_batch",
-    "generate_current_to_pbest",
-    "generate_current_to_rand",
-    "generate_rand_1_bin",
     "improvement_weights",
     "make_trials",
     "pbest_pool_size",
     "rand_1_bin_batch",
     "repair_bounds",
     "select_strategies",
-    "select_strategy",
 ]
 
 
@@ -116,11 +112,6 @@ class ParameterMemory:
 
         cr = np.clip(loc_cr + 0.1 * rng.standard_normal(size), 0.0, 1.0)
         return f, cr
-
-    def sample_parameters(self, strategy, rng):
-        """Sample one (F, CR) pair for a strategy."""
-        f, cr = self.sample_parameters_many(strategy, 1, rng)
-        return float(f[0]), float(cr[0])
 
     def record_success(self, strategy, f, cr, delta):
         """Record the control parameters of replacements that actually happened.
@@ -196,17 +187,11 @@ class StrategyStats:
         return wins / total
 
 
-def select_strategies(stats, generation, size, rng):
-    """Roulette-wheel draw of ``size`` strategy indices from the success rates."""
-    rates = stats.success_rates(generation)
+def select_strategies(rates, size, rng):
+    """Roulette-wheel draw of ``size`` strategy indices from per-strategy rates."""
     edges = np.cumsum(rates)
     picks = np.searchsorted(edges, rng.random(size), side="right")
     return np.minimum(picks, len(STRATEGIES) - 1)
-
-
-def select_strategy(stats, generation, rng):
-    """Draw one strategy according to the current success rates."""
-    return Strategy(int(select_strategies(stats, generation, 1, rng)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -305,39 +290,3 @@ def current_to_rand_batch(pop, targets, f, lower, upper, rng):
     return make_trials(pop, targets, np.full_like(targets, Strategy.CURRENT_TO_RAND), f,
                        np.ones(len(targets)), 1, lower, upper, rng)
 
-
-def _stacked(population):
-    return np.stack([ind.x for ind in population])
-
-
-def generate_rand_1_bin(population, target_index, f, cr, problem, rng):
-    """Single-target form of the random-base strategy over Individuals."""
-    xs = _stacked(population)
-    out = rand_1_bin_batch(xs, np.array([target_index]), np.array([float(f)]),
-                           np.array([float(cr)]), problem.lower, problem.upper, rng)
-    return out[0]
-
-
-def generate_current_to_pbest(population, target_index, f, cr, p_fraction, problem, rng):
-    """Single-target form of the elite-pool strategy over Individuals.
-
-    The elite pool is the feasibility-first head of the population.
-    """
-    from .selection import sort_sf
-
-    xs = _stacked(population)
-    order = sort_sf(population)
-    pool = pbest_pool_size(len(population), p_fraction)
-    sorted_xs = xs[order]
-    pos = int(np.nonzero(order == target_index)[0][0])
-    out = current_to_pbest_batch(sorted_xs, np.array([pos]), pool, np.array([float(f)]),
-                                 np.array([float(cr)]), problem.lower, problem.upper, rng)
-    return out[0]
-
-
-def generate_current_to_rand(population, target_index, f, problem, rng):
-    """Single-target form of the blend strategy over Individuals."""
-    xs = _stacked(population)
-    out = current_to_rand_batch(xs, np.array([target_index]), np.array([float(f)]),
-                                problem.lower, problem.upper, rng)
-    return out[0]

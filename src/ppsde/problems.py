@@ -30,7 +30,6 @@ __all__ = [
     "canonical_problem_id",
     "evaluate",
     "evaluate_many",
-    "is_feasible",
     "make_suite_problem",
     "overall_violation",
 ]
@@ -152,11 +151,6 @@ def overall_violation(g_values, h_values, sigma):
     total = np.sum(np.maximum(g_values, 0.0), axis=-1)
     total = total + np.sum(np.maximum(np.abs(h_values) - sigma, 0.0), axis=-1)
     return total
-
-
-def is_feasible(evaluation):
-    """True exactly when the aggregated violation is zero."""
-    return evaluation.phi == 0.0
 
 
 def _check_finite(values, kind, per_constraint):

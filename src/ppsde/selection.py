@@ -8,37 +8,28 @@ relaxes violations up to a level ``eps``: within the relaxed region the
 objective decides, at exactly equal violation the objective decides, and
 otherwise the lower violation wins.
 
-Scalar functions operate on Individual pairs.  The ``*_mask`` variants take
-aligned arrays of objective and violation values and decide a whole batch at
-once; the scalar forms delegate to them so there is a single source of truth
-for each rule.
+Every function takes aligned arrays (or scalars) of objective and violation
+values and decides a whole batch at once.  All three rules share one
+lexicographic shape: the objective decides where a rule-specific condition
+holds, and the violation decides everywhere else.
+
+At ``eps = 0`` pull acceptance is not feasibility-first acceptance.  The two
+differ exactly where both violations are equal and positive and the trial's
+objective is worse: pull rejects such a trial, feasibility-first accepts it.
 """
 
 from __future__ import annotations
 
-import enum
-
 import numpy as np
 
 __all__ = [
-    "Comparison",
     "pull_accept_mask",
-    "pull_select",
     "push_accept_mask",
-    "push_select",
     "sf_accept_mask",
     "sf_better_mask",
     "sf_best_index",
-    "sf_compare",
     "sf_order",
-    "sort_sf",
 ]
-
-
-class Comparison(enum.Enum):
-    FIRST_BETTER = "first-better"
-    SECOND_BETTER = "second-better"
-    TIE = "tie"
 
 
 def sf_better_mask(phi_a, f_a, phi_b, f_b):
@@ -57,23 +48,9 @@ def sf_better_mask(phi_a, f_a, phi_b, f_b):
     )
 
 
-def sf_compare(a, b):
-    """Three-way feasibility-first comparison of two Individuals."""
-    if bool(sf_better_mask(a.phi, a.f, b.phi, b.f)):
-        return Comparison.FIRST_BETTER
-    if bool(sf_better_mask(b.phi, b.f, a.phi, a.f)):
-        return Comparison.SECOND_BETTER
-    return Comparison.TIE
-
-
 def push_accept_mask(parent_f, trial_f):
     """Constraint-blind acceptance: the trial replaces on objective <=."""
     return np.asarray(trial_f) <= np.asarray(parent_f)
-
-
-def push_select(parent, trial):
-    """True when the trial replaces the parent under push acceptance."""
-    return bool(push_accept_mask(parent.f, trial.f))
 
 
 def pull_accept_mask(parent_phi, parent_f, trial_phi, trial_f, eps):
@@ -93,13 +70,6 @@ def pull_accept_mask(parent_phi, parent_f, trial_phi, trial_f, eps):
     )
 
 
-def pull_select(parent, trial, eps):
-    """True when the trial replaces the parent under pull acceptance."""
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
-    return bool(pull_accept_mask(parent.phi, parent.f, trial.phi, trial.f, eps))
-
-
 def sf_accept_mask(parent_phi, parent_f, trial_phi, trial_f):
     """Feasibility-first acceptance: replace unless the parent is strictly better."""
     return ~sf_better_mask(parent_phi, parent_f, trial_phi, trial_f)
@@ -117,13 +87,6 @@ def sf_order(f, phi):
     key = np.where(infeasible.astype(bool), phi, f)
     # least-significant key first; lexsort is stable, keeping original order on ties
     return np.lexsort((np.arange(len(f)), key, infeasible))
-
-
-def sort_sf(population):
-    """Feasibility-first sort permutation for a sequence of Individuals."""
-    f = np.array([ind.f for ind in population])
-    phi = np.array([ind.phi for ind in population])
-    return sf_order(f, phi)
 
 
 def sf_best_index(f, phi):

@@ -42,7 +42,7 @@ from .de import (  # noqa: F401 - the *_batch names stay bound for perfbench/tra
 )
 from .phases import PULL, PUSH, EpsilonSchedule, PhaseTracker
 from .problems import Evaluation, Individual, evaluate_many
-from .selection import (
+from .selection import (  # noqa: F401 - the *_accept_mask names stay bound for perfbench/tracing.py
     pull_accept_mask,
     push_accept_mask,
     sf_accept_mask,
@@ -56,10 +56,7 @@ __all__ = [
     "RunConfig",
     "RunResult",
     "RunTrace",
-    "best_so_far",
     "run",
-    "run_baseline",
-    "run_ppsde",
 ]
 
 ALGORITHMS = ("pps-de", "sf-de", "eps-de")
@@ -134,23 +131,6 @@ class RunResult:
     problem_name: str
 
 
-def best_so_far(population, incumbent=None):
-    """Feasibility-first minimum of a population, held against an incumbent.
-
-    Ties keep the incumbent.
-    """
-    if len(population) == 0:
-        raise ValueError("population is empty")
-    f = np.array([ind.f for ind in population])
-    phi = np.array([ind.phi for ind in population])
-    candidate = population[sf_best_index(f, phi)]
-    if incumbent is not None and not bool(
-        sf_better_mask(candidate.phi, candidate.f, incumbent.phi, incumbent.f)
-    ):
-        return incumbent
-    return candidate
-
-
 def _resolve(problem, config):
     if config.algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {config.algorithm!r}; choose from {ALGORITHMS}")
@@ -185,30 +165,25 @@ def _resolve(problem, config):
     return replace(config, n_pop=int(n), top_size=int(t), max_fes=int(fes))
 
 
-def _accept_mask(mode, parent_phi, parent_f, trial_phi, trial_f, eps):
+def _objective_decided(mode, phi_a, phi_b, eps):
+    """Mask D, true where the mode's rule compares two points by objective.
+
+    Every rule is lexicographic: the objective decides where D holds and the
+    violation decides everywhere else, so a trial replaces a parent where
+    ``where(D, f_trial <= f_parent, phi_trial <= phi_parent)``.  D is
+    symmetric in the two points.
+    """
     if mode == PUSH:
-        return push_accept_mask(parent_f, trial_f)
+        return np.ones(np.shape(phi_b), dtype=bool)
     if mode == PULL:
-        return pull_accept_mask(parent_phi, parent_f, trial_phi, trial_f, eps)
-    return sf_accept_mask(parent_phi, parent_f, trial_phi, trial_f)
+        return ((phi_b <= eps) & (phi_a <= eps)) | (phi_b == phi_a)
+    return (phi_a == 0.0) & (phi_b == 0.0)
 
 
 def _strictly_better(mode, phi_new, f_new, phi_old, f_old, eps):
-    if mode == PUSH:
-        return f_new < f_old
-    if mode == PULL:
-        # pull acceptance old -> new and not new -> old, merged into one pass
-        return np.where(_objective_decided(PULL, phi_old, phi_new, eps),
-                        f_new < f_old, phi_new < phi_old)
-    return sf_better_mask(phi_new, f_new, phi_old, f_old)
-
-
-def _objective_decided(mode, parent_phi, trial_phi, eps):
-    if mode == PUSH:
-        return np.ones(np.shape(trial_phi), dtype=bool)
-    if mode == PULL:
-        return ((trial_phi <= eps) & (parent_phi <= eps)) | (trial_phi == parent_phi)
-    return (parent_phi == 0.0) & (trial_phi == 0.0)
+    # acceptance old -> new and not new -> old
+    return np.where(_objective_decided(mode, phi_old, phi_new, eps),
+                    f_new < f_old, phi_new < phi_old)
 
 
 def run(problem, config, *, force_win_strategy=None):
@@ -299,7 +274,7 @@ def run(problem, config, *, force_win_strategy=None):
         stats.record_generation(wins)
         sr = stats.success_rates(generation)
 
-        picks = select_strategies(stats, generation, n_bottom, rng)
+        picks = select_strategies(sr, n_bottom, rng)
         b_f_param, b_cr_param = memory.sample_parameters_many(picks, n_bottom, rng)
         bx = make_trials(pop, bottom_idx, picks, b_f_param, b_cr_param, pool,
                          lower, upper, rng)
@@ -310,12 +285,12 @@ def run(problem, config, *, force_win_strategy=None):
         c_x = np.concatenate((tx[won], bx))
         c_f = np.concatenate((tf[won], b_f))
         c_phi = np.concatenate((tphi[won], b_phi))
-        accept = _accept_mask(comparator, phi, f, c_phi, c_f, eps)
+        decided = _objective_decided(comparator, phi, c_phi, eps)
+        accept = np.where(decided, c_f <= f, c_phi <= phi)
 
         # improvements are measured against the criterion that decided the
         # replacement, before any replacement is applied
-        delta = np.where(_objective_decided(comparator, phi, c_phi, eps),
-                         np.abs(f - c_f), np.abs(phi - c_phi))
+        delta = np.where(decided, np.abs(f - c_f), np.abs(phi - c_phi))
         c_strategy = np.concatenate((winner, picks))
         c_fp = np.concatenate((top_f[won], b_f_param))
         c_crp = np.concatenate((top_cr[won], b_cr_param))
@@ -400,16 +375,3 @@ def _pack_trace(rows):
         rate=np.array(cols[11]),
     )
 
-
-def run_ppsde(problem, config):
-    """Run the push-pull algorithm; the config must select it."""
-    if config.algorithm != "pps-de":
-        raise ValueError("config.algorithm must be 'pps-de'")
-    return run(problem, config)
-
-
-def run_baseline(problem, config):
-    """Run one of the ablation baselines; the config must select one."""
-    if config.algorithm not in ("sf-de", "eps-de"):
-        raise ValueError("config.algorithm must be 'sf-de' or 'eps-de'")
-    return run(problem, config)

@@ -1,13 +1,11 @@
+import math
+
 import numpy as np
+from hypothesis import strategies as st
 
-from ppsde import Evaluation, Individual
-
-
-def make_individual(f, phi, dim=3):
-    """Synthetic individual with a violation consistent with one inequality."""
-    g = np.array([phi]) if phi > 0 else np.array([-1.0])
-    ev = Evaluation(f=float(f), g_values=g, h_values=np.empty(0), phi=float(phi))
-    return Individual(x=np.zeros(dim), evaluation=ev)
+# (phi, f) values rich in ties, with both signed zeros
+PHI = st.sampled_from([0.0, -0.0, 0.5, 1.0, math.inf]) | st.floats(0.0, 10.0)
+F = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-1e3, 1e3)
 
 
 def random_pairs(rng, count, feasible_share=0.5):

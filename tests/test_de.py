@@ -10,9 +10,6 @@ from ppsde.de import (
     StrategyStats,
     current_to_pbest_batch,
     current_to_rand_batch,
-    generate_current_to_pbest,
-    generate_current_to_rand,
-    generate_rand_1_bin,
     _three_distinct,
     improvement_weights,
     make_trials,
@@ -20,11 +17,8 @@ from ppsde.de import (
     rand_1_bin_batch,
     repair_bounds,
     select_strategies,
-    select_strategy,
 )
 from ppsde.problems import Problem
-
-from conftest import make_individual
 
 
 def box_problem(dim=3, lower=-5.0, upper=5.0):
@@ -173,13 +167,6 @@ class TestParameterMemory:
             assert np.all(f > 0.0) and np.all(f <= 1.0)
             assert np.all(cr >= 0.0) and np.all(cr <= 1.0)
 
-    def test_scalar_sampling_matches_ranges(self):
-        rng = np.random.default_rng(14)
-        mem = ParameterMemory()
-        for _ in range(100):
-            f, cr = mem.sample_parameters(Strategy.CURRENT_TO_PBEST, rng)
-            assert 0.0 < f <= 1.0 and 0.0 <= cr <= 1.0
-
 
 class TestStrategyStats:
     def test_uniform_during_warmup(self):
@@ -220,15 +207,10 @@ class TestStrategyStats:
         stats = StrategyStats(window=1)
         stats.record_generation([8, 2, 0])
         rng = np.random.default_rng(15)
-        picks = select_strategies(stats, 10, 20000, rng)
+        picks = select_strategies(stats.success_rates(10), 20000, rng)
         freq = np.bincount(picks, minlength=3) / 20000
         np.testing.assert_allclose(freq, [0.8, 0.2, 0.0], atol=0.02)
         assert not np.any(picks == 2)
-
-    def test_scalar_selection_returns_strategy(self):
-        stats = StrategyStats(window=1)
-        rng = np.random.default_rng(16)
-        assert select_strategy(stats, 0, rng) in STRATEGIES
 
 
 class TestPoolSize:
@@ -306,14 +288,13 @@ class TestTrialGeneration:
     def test_single_target_wrappers(self):
         rng = np.random.default_rng(21)
         prob = box_problem(dim=4)
-        pop = [make_individual(f=float(i), phi=0.0, dim=4) for i in range(8)]
-        for i, ind in enumerate(pop):
-            object.__setattr__(ind, "x", rng.uniform(-5, 5, 4))
-        a = generate_rand_1_bin(pop, 2, 0.7, 0.5, prob, rng)
-        b = generate_current_to_pbest(pop, 2, 0.7, 0.5, 0.25, prob, rng)
-        c = generate_current_to_rand(pop, 2, 0.7, prob, rng)
+        pop = rng.uniform(-5, 5, (8, 4))
+        target, f, cr = np.array([2]), np.array([0.7]), np.array([0.5])
+        a = rand_1_bin_batch(pop, target, f, cr, prob.lower, prob.upper, rng)
+        b = current_to_pbest_batch(pop, target, 2, f, cr, prob.lower, prob.upper, rng)
+        c = current_to_rand_batch(pop, target, f, prob.lower, prob.upper, rng)
         for trial in (a, b, c):
-            assert trial.shape == (4,)
+            assert trial.shape == (1, 4)
             assert np.all(trial >= prob.lower) and np.all(trial <= prob.upper)
 
     def test_pbest_donor_uses_elite_head(self):

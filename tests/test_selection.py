@@ -1,56 +1,46 @@
 import numpy as np
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppsde.selection import (
-    Comparison,
     pull_accept_mask,
-    pull_select,
     push_accept_mask,
-    push_select,
     sf_accept_mask,
     sf_best_index,
     sf_better_mask,
-    sf_compare,
     sf_order,
-    sort_sf,
 )
 
-from conftest import make_individual, random_pairs
+from conftest import F, PHI, random_pairs
 
 
 class TestFeasibilityFirst:
     def test_feasible_beats_infeasible(self):
-        a = make_individual(f=100.0, phi=0.0)
-        b = make_individual(f=0.0, phi=1e-12)
-        assert sf_compare(a, b) is Comparison.FIRST_BETTER
-        assert sf_compare(b, a) is Comparison.SECOND_BETTER
+        assert sf_better_mask(0.0, 100.0, 1e-12, 0.0)
+        assert not sf_better_mask(1e-12, 0.0, 0.0, 100.0)
 
     def test_both_feasible_objective_decides(self):
-        a = make_individual(f=1.0, phi=0.0)
-        b = make_individual(f=2.0, phi=0.0)
-        assert sf_compare(a, b) is Comparison.FIRST_BETTER
-        assert sf_compare(a, make_individual(f=1.0, phi=0.0)) is Comparison.TIE
+        assert sf_better_mask(0.0, 1.0, 0.0, 2.0)
+        assert not sf_better_mask(0.0, 1.0, 0.0, 1.0)
 
     def test_both_infeasible_violation_decides(self):
         # objective is ignored between two infeasible points
-        a = make_individual(f=50.0, phi=0.1)
-        b = make_individual(f=-50.0, phi=0.2)
-        assert sf_compare(a, b) is Comparison.FIRST_BETTER
-        assert sf_compare(a, make_individual(f=0.0, phi=0.1)) is Comparison.TIE
+        assert sf_better_mask(0.1, 50.0, 0.2, -50.0)
+        assert not sf_better_mask(0.1, 50.0, 0.1, 0.0)
+        assert not sf_better_mask(0.1, 0.0, 0.1, 50.0)
 
     def test_antisymmetry_and_trichotomy(self):
         rng = np.random.default_rng(3)
         phi, f = random_pairs(rng, 400)
-        for i in range(0, 400, 2):
-            a = make_individual(f[i], phi[i])
-            b = make_individual(f[i + 1], phi[i + 1])
-            ab, ba = sf_compare(a, b), sf_compare(b, a)
-            if ab is Comparison.FIRST_BETTER:
-                assert ba is Comparison.SECOND_BETTER
-            elif ab is Comparison.SECOND_BETTER:
-                assert ba is Comparison.FIRST_BETTER
-            else:
-                assert ba is Comparison.TIE
+        a, b = slice(0, None, 2), slice(1, None, 2)
+        ab = sf_better_mask(phi[a], f[a], phi[b], f[b])
+        ba = sf_better_mask(phi[b], f[b], phi[a], f[a])
+        assert not np.any(ab & ba)
+        # neither better means the pair ties on the deciding criterion
+        tie = ~ab & ~ba
+        both_feasible = (phi[a] == 0.0) & (phi[b] == 0.0)
+        np.testing.assert_array_equal(
+            tie, np.where(both_feasible, f[a] == f[b], phi[a] == phi[b]))
 
     def test_mask_matches_scalar(self):
         rng = np.random.default_rng(4)
@@ -58,17 +48,13 @@ class TestFeasibilityFirst:
         phi_b, f_b = random_pairs(rng, 300)
         mask = sf_better_mask(phi_a, f_a, phi_b, f_b)
         for i in range(300):
-            a = make_individual(f_a[i], phi_a[i])
-            b = make_individual(f_b[i], phi_b[i])
-            assert bool(mask[i]) == (sf_compare(a, b) is Comparison.FIRST_BETTER)
+            assert bool(mask[i]) == bool(sf_better_mask(phi_a[i], f_a[i], phi_b[i], f_b[i]))
 
 
 class TestPush:
     def test_accepts_on_tie_and_improvement(self):
-        parent = make_individual(f=1.0, phi=0.0)
-        assert push_select(parent, make_individual(f=0.5, phi=3.0))
-        assert push_select(parent, make_individual(f=1.0, phi=3.0))
-        assert not push_select(parent, make_individual(f=1.5, phi=0.0))
+        np.testing.assert_array_equal(push_accept_mask(1.0, [0.5, 1.0, 1.5]),
+                                      [True, True, False])
 
     def test_ignores_violation_entirely(self):
         rng = np.random.default_rng(5)
@@ -80,29 +66,22 @@ class TestPush:
 
 class TestPull:
     def test_both_within_eps_objective_decides(self):
-        parent = make_individual(f=1.0, phi=0.5)
-        trial = make_individual(f=2.0, phi=0.3)
         # relaxed region: the lower violation does not help the worse objective
-        assert not pull_select(parent, trial, eps=0.6)
+        assert not pull_accept_mask(0.5, 1.0, 0.3, 2.0, eps=0.6)
         # below the level the violation branch applies instead
-        assert pull_select(parent, trial, eps=0.2)
+        assert pull_accept_mask(0.5, 1.0, 0.3, 2.0, eps=0.2)
 
     def test_equal_violation_objective_decides(self):
-        parent = make_individual(f=2.0, phi=0.7)
-        assert pull_select(parent, make_individual(f=1.0, phi=0.7), eps=0.1)
-        assert not pull_select(parent, make_individual(f=3.0, phi=0.7), eps=0.1)
+        np.testing.assert_array_equal(
+            pull_accept_mask(0.7, 2.0, [0.7, 0.7], [1.0, 3.0], eps=0.1), [True, False])
 
     def test_otherwise_lower_violation_wins(self):
-        parent = make_individual(f=0.0, phi=0.9)
-        assert pull_select(parent, make_individual(f=99.0, phi=0.8), eps=0.1)
-        assert not pull_select(parent, make_individual(f=-99.0, phi=1.0), eps=0.1)
-
-    def test_negative_eps_rejected(self):
-        parent = make_individual(f=0.0, phi=0.0)
-        with pytest.raises(ValueError):
-            pull_select(parent, parent, eps=-1e-9)
+        np.testing.assert_array_equal(
+            pull_accept_mask(0.9, 0.0, [0.8, 1.0], [99.0, -99.0], eps=0.1), [True, False])
 
     def test_eps_zero_matches_feasibility_first_acceptance(self):
+        # random_pairs draws continuous violations, so no two positive ones
+        # are equal; the test below pins what happens when they are
         rng = np.random.default_rng(6)
         phi_p, f_p = random_pairs(rng, 5000)
         phi_t, f_t = random_pairs(rng, 5000)
@@ -117,6 +96,19 @@ class TestPull:
         pull = pull_accept_mask(phi_p, f_p, phi_t, f_t, eps=np.inf)
         np.testing.assert_array_equal(pull, push_accept_mask(f_p, f_t))
 
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=st.lists(st.tuples(PHI, F, PHI, F), min_size=1, max_size=20))
+    def test_eps_zero_differs_from_feasibility_first_only_on_equal_positive_violations(
+            self, pairs):
+        phi_p, f_p, phi_t, f_t = (np.array(col) for col in zip(*pairs))
+        pull = pull_accept_mask(phi_p, f_p, phi_t, f_t, eps=0.0)
+        sf = sf_accept_mask(phi_p, f_p, phi_t, f_t)
+        # there pull lets the objective decide and rejects the worse trial,
+        # while feasibility-first sees a violation tie and accepts
+        differs = (phi_p == phi_t) & (phi_p > 0.0) & (f_t > f_p)
+        np.testing.assert_array_equal(pull != sf, differs)
+        assert not np.any(pull[differs])
+
     def test_mask_matches_scalar(self):
         rng = np.random.default_rng(8)
         phi_p, f_p = random_pairs(rng, 300)
@@ -124,9 +116,8 @@ class TestPull:
         for eps in (0.0, 0.05, 1.0):
             mask = pull_accept_mask(phi_p, f_p, phi_t, f_t, eps)
             for i in range(300):
-                parent = make_individual(f_p[i], phi_p[i])
-                trial = make_individual(f_t[i], phi_t[i])
-                assert bool(mask[i]) == pull_select(parent, trial, eps)
+                assert bool(mask[i]) == bool(
+                    pull_accept_mask(phi_p[i], f_p[i], phi_t[i], f_t[i], eps))
 
 
 class TestSorting:
@@ -162,11 +153,6 @@ class TestSorting:
         assert np.all(np.diff(f[feasible]) >= 0)
         infeasible = order[phi[order] > 0]
         assert np.all(np.diff(phi[infeasible]) >= 0)
-
-    def test_sort_sf_over_individuals(self):
-        pop = [make_individual(2.0, 0.0), make_individual(0.0, 0.1),
-               make_individual(1.0, 0.0)]
-        np.testing.assert_array_equal(sort_sf(pop), [2, 0, 1])
 
     def test_best_index_is_undominated(self):
         rng = np.random.default_rng(11)

@@ -6,21 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppsde.phases import PULL
+from ppsde.phases import PULL, PUSH
 from ppsde.problems import make_suite_problem
-from ppsde.selection import pull_accept_mask, sf_better_mask
-from ppsde.solver import (
-    ALGORITHMS,
-    RunConfig,
-    RunResult,
-    best_so_far,
-    run,
-    run_baseline,
-    run_ppsde,
+from ppsde.selection import (
+    pull_accept_mask,
+    push_accept_mask,
+    sf_accept_mask,
+    sf_best_index,
+    sf_better_mask,
 )
-from ppsde.solver import _resolve, _strictly_better
+from ppsde.solver import ALGORITHMS, RunConfig, run
+from ppsde.solver import _SF_MODE, _objective_decided, _resolve, _strictly_better
 
-from conftest import make_individual
+from conftest import F, PHI
 
 
 def small_run(algorithm="pps-de", pid="P2", dim=3, seed=0, **kw):
@@ -44,6 +42,9 @@ class TestResolve:
 
     def test_validation(self):
         prob = make_suite_problem("P1", 4)
+        assert set(ALGORITHMS) == {"pps-de", "sf-de", "eps-de"}
+        for algorithm in ALGORITHMS:
+            _resolve(prob, RunConfig(algorithm=algorithm))
         with pytest.raises(ValueError):
             _resolve(prob, RunConfig(algorithm="nope"))
         with pytest.raises(ValueError):
@@ -81,41 +82,51 @@ class TestResolve:
         assert calls
 
 
-PHI = st.sampled_from([0.0, -0.0, 0.5, 1.0, math.inf]) | st.floats(0.0, 10.0)
-F = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-1e3, 1e3)
+PUBLIC_ACCEPT = {
+    PUSH: lambda phi_p, f_p, phi_t, f_t, eps: push_accept_mask(f_p, f_t),
+    PULL: pull_accept_mask,
+    _SF_MODE: lambda phi_p, f_p, phi_t, f_t, eps: sf_accept_mask(phi_p, f_p, phi_t, f_t),
+}
 
 
 class TestStrictlyBetter:
     @settings(max_examples=300, deadline=None)
     @given(pairs=st.lists(st.tuples(PHI, F, PHI, F), min_size=1, max_size=20),
-           eps=st.sampled_from([0.0, math.inf, 0.5, 1.0]) | st.floats(0.0, 10.0))
-    def test_merged_pull_comparison_equals_two_way_acceptance(self, pairs, eps):
+           eps=st.sampled_from([0.0, math.inf, 0.5, 1.0]) | st.floats(0.0, 10.0),
+           mode=st.sampled_from(sorted(PUBLIC_ACCEPT)))
+    def test_merged_pull_comparison_equals_two_way_acceptance(self, pairs, eps, mode):
+        """Every mode: the solver's acceptance, built as run() builds it from
+        ``_objective_decided``, equals the public mask, and strictly-better is
+        acceptance one way and not the other."""
         phi_new, f_new, phi_old, f_old = (np.array(col) for col in zip(*pairs))
-        expected = (pull_accept_mask(phi_old, f_old, phi_new, f_new, eps)
-                    & ~pull_accept_mask(phi_new, f_new, phi_old, f_old, eps))
-        got = _strictly_better(PULL, phi_new, f_new, phi_old, f_old, eps)
+
+        def accept(phi_p, f_p, phi_t, f_t):
+            decided = _objective_decided(mode, phi_p, phi_t, eps)
+            got = np.where(decided, f_t <= f_p, phi_t <= phi_p)
+            np.testing.assert_array_equal(got, PUBLIC_ACCEPT[mode](phi_p, f_p, phi_t, f_t, eps))
+            return got
+
+        expected = (accept(phi_old, f_old, phi_new, f_new)
+                    & ~accept(phi_new, f_new, phi_old, f_old))
+        got = _strictly_better(mode, phi_new, f_new, phi_old, f_old, eps)
         np.testing.assert_array_equal(got, expected)
+        if mode == _SF_MODE:
+            np.testing.assert_array_equal(got, sf_better_mask(phi_new, f_new, phi_old, f_old))
 
 
 class TestBestSoFar:
+    # run() keeps the feasibility-first minimum of each generation when
+    # sf_better_mask says it beats the incumbent
     def test_picks_feasibility_first_minimum(self):
-        pop = [make_individual(3.0, 0.0), make_individual(1.0, 0.2),
-               make_individual(2.0, 0.0)]
-        assert best_so_far(pop) is pop[2]
+        assert sf_best_index([3.0, 1.0, 2.0], [0.0, 0.2, 0.0]) == 2
 
     def test_tie_keeps_incumbent(self):
-        incumbent = make_individual(2.0, 0.0)
-        pop = [make_individual(2.0, 0.0), make_individual(5.0, 0.0)]
-        assert best_so_far(pop, incumbent) is incumbent
+        f, phi = np.array([2.0, 5.0]), np.zeros(2)
+        best = sf_best_index(f, phi)
+        assert not sf_better_mask(phi[best], f[best], 0.0, 2.0)
 
     def test_strictly_better_candidate_replaces(self):
-        incumbent = make_individual(2.0, 0.0)
-        pop = [make_individual(1.5, 0.0)]
-        assert best_so_far(pop, incumbent) is pop[0]
-
-    def test_empty_population_rejected(self):
-        with pytest.raises(ValueError):
-            best_so_far([])
+        assert sf_better_mask(0.0, 1.5, 0.0, 2.0)
 
 
 class TestBudgetAccounting:
@@ -241,8 +252,9 @@ class TestBaselines:
         assert res.trace.eps[0] > 0.0
 
     def test_eps_de_at_zero_level_equals_sf_de(self):
-        # forcing the relaxation to zero from the start reduces the relaxed
-        # rule to feasibility-first comparison, so the runs must coincide
+        # at relaxation zero the relaxed rule differs from feasibility-first
+        # comparison only between equal positive violations, which this run
+        # never meets, so the runs must coincide
         kw = dict(pid="P2", dim=3, max_fes=2500, seed=14, eps_initial=0.0)
         a = small_run(algorithm="eps-de", **kw)
         b = small_run(algorithm="sf-de", pid="P2", dim=3, max_fes=2500, seed=14)
@@ -253,14 +265,6 @@ class TestBaselines:
         np.testing.assert_array_equal(a.trace.wins, b.trace.wins)
         np.testing.assert_array_equal(a.trace.fes, b.trace.fes)
         np.testing.assert_array_equal(a.best.x, b.best.x)
-
-    def test_wrapper_guards(self):
-        prob = make_suite_problem("P1", 3)
-        with pytest.raises(ValueError):
-            run_ppsde(prob, RunConfig(algorithm="sf-de"))
-        with pytest.raises(ValueError):
-            run_baseline(prob, RunConfig(algorithm="pps-de"))
-        assert set(ALGORITHMS) == {"pps-de", "sf-de", "eps-de"}
 
 
 class TestForcedWins:
