@@ -234,17 +234,7 @@ def _run_job(job):
     config = RunConfig(algorithm=algo, seed=seed, **overrides)
     result = run(problem, config)
     write_trace_csv(result, os.path.join(out_dir, _trace_name(problem_id, dim, algo, run_index)))
-    return {
-        "problem": problem_id,
-        "dim": dim,
-        "algo": algo,
-        "run_index": run_index,
-        "seed": seed,
-        "final_f": float(result.best.f),
-        "final_phi": float(result.best.phi),
-        "generations": int(result.generations),
-        "final_fes": int(result.final_fes),
-    }
+    return float(result.best.f), float(result.best.phi)
 
 
 def _cell_key(problem_id, dim, algo):
@@ -268,11 +258,10 @@ def execute(spec):
             outcomes = [_run_job(job) for job in jobs]
 
         cells = {}
-        for out in outcomes:
-            key = _cell_key(out["problem"], out["dim"], out["algo"])
-            cell = cells.setdefault(key, {"final_f": [], "final_phi": []})
-            cell["final_f"].append(out["final_f"])
-            cell["final_phi"].append(out["final_phi"])
+        for (pid, dim, algo, *_), (final_f, final_phi) in zip(jobs, outcomes):
+            cell = cells.setdefault(_cell_key(pid, dim, algo), {"final_f": [], "final_phi": []})
+            cell["final_f"].append(final_f)
+            cell["final_phi"].append(final_phi)
 
         for key, cell in cells.items():
             final_f = np.array(cell["final_f"])

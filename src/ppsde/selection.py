@@ -85,8 +85,8 @@ def sf_order(f, phi):
     phi = np.asarray(phi)
     infeasible = (phi > 0.0).astype(int)
     key = np.where(infeasible.astype(bool), phi, f)
-    # least-significant key first; lexsort is stable, keeping original order on ties
-    return np.lexsort((np.arange(len(f)), key, infeasible))
+    # least-significant key first; lexsort is stable, so ties keep their original order
+    return np.lexsort((key, infeasible))
 
 
 def sf_best_index(f, phi):

@@ -11,14 +11,16 @@ pushing, violation-relaxed while pulling.  Successful control parameters,
 weighted by how much they improved the deciding criterion, are folded into
 the per-strategy memories at the end of the generation.
 
-The phase switch is one-way: once the best objective stagnates over a
-learning period, the search leaves the push phase and pulls the population
-back to feasibility under a relaxation level that decays to zero.
+A run makes exactly ``(max_fes - N) // (3T + N - T)`` generations for a
+population of N with a top part of T; a partial generation never starts.
 
-Two ablation baselines share the identical loop: ``sf-de`` applies
-feasibility-first comparison everywhere for the whole run, and ``eps-de``
-applies the relaxed rule from generation 0 with its schedule seeded from the
-initial population.
+The phase state is one number, the generation at which pulling starts: 0
+for ``eps-de``; for ``pps-de`` it is set once, to the generation after the
+population's minimum objective stagnates over a learning period.  At the
+top of that generation the relaxation schedule is seeded from the
+population's violations; it then decays to zero.  ``sf-de`` never pulls
+and compares feasibility-first for the whole run.  All three share the
+identical loop.
 """
 
 from __future__ import annotations
@@ -186,6 +188,13 @@ def _strictly_better(mode, phi_new, f_new, phi_old, f_old, eps):
                     f_new < f_old, phi_new < phi_old)
 
 
+def _member(pop, f, g, h, phi, i):
+    """Member ``i`` of the evaluated population as an Individual of copies."""
+    evaluation = Evaluation(f=float(f[i]), g_values=g[i].copy(), h_values=h[i].copy(),
+                            phi=float(phi[i]))
+    return Individual(x=pop[i].copy(), evaluation=evaluation)
+
+
 def run(problem, config, *, force_win_strategy=None):
     """Run the configured algorithm on a problem and return a RunResult.
 
@@ -199,38 +208,23 @@ def run(problem, config, *, force_win_strategy=None):
     if force_win_strategy is not None and force_win_strategy not in (0, 1, 2):
         raise ValueError("force_win_strategy must be 0, 1 or 2")
 
-    mode = cfg.algorithm
     started = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     n, t, d = cfg.n_pop, cfg.top_size, problem.dim
     n_bottom = n - t
     gen_cost = 3 * t + n_bottom
+    n_gen = (cfg.max_fes - n) // gen_cost
     lower, upper = problem.lower, problem.upper
     cutoff = cfg.eps_cutoff_fraction * (cfg.max_fes / (2.0 * n))
 
     pop = rng.uniform(lower, upper, size=(n, d))
     f, g, h, phi = evaluate_many(problem, pop)
-    fes = n
+    best = _member(pop, f, g, h, phi, sf_best_index(f, phi))
 
     memory = ParameterMemory(cfg.memory_length)
     stats = StrategyStats(window=cfg.learning_period)
     tracker = PhaseTracker(cfg.learning_period, cfg.switch_threshold, cfg.switch_delta)
-    schedule = None
-    pull_start = None
-    if mode == "eps-de":
-        schedule = EpsilonSchedule.from_violations(
-            phi, cutoff=cutoff, quantile=cfg.eps_quantile, eps_initial=cfg.eps_initial,
-            shrink=cfg.eps_shrink, feasible_trigger=cfg.eps_feasible_trigger,
-            decay_power=cfg.eps_decay_power,
-        )
-        pull_start = 0
-
-    idx = sf_best_index(f, phi)
-    best_x = pop[idx].copy()
-    best_f = float(f[idx])
-    best_phi = float(phi[idx])
-    best_g = g[idx].copy()
-    best_h = h[idx].copy()
+    pull_start = 0 if cfg.algorithm == "eps-de" else None
 
     pool = pbest_pool_size(n, cfg.p_fraction)
     top_idx = np.arange(t)
@@ -239,14 +233,17 @@ def run(problem, config, *, force_win_strategy=None):
     bottom_idx = np.arange(t, n)
 
     rows = []
-    generation = 0
-    while fes + gen_cost <= cfg.max_fes:
+    for generation in range(n_gen):
         feasible_ratio = float(np.mean(phi == 0.0))
-        if mode == "sf-de":
+        if generation == pull_start:
+            schedule = EpsilonSchedule.from_violations(
+                phi, cutoff=cutoff, quantile=cfg.eps_quantile, eps_initial=cfg.eps_initial,
+                shrink=cfg.eps_shrink, feasible_trigger=cfg.eps_feasible_trigger,
+                decay_power=cfg.eps_decay_power,
+            )
+        if cfg.algorithm == "sf-de":
             comparator, eps = _SF_MODE, math.nan
-        elif mode == "eps-de":
-            comparator, eps = PULL, schedule.level(generation, feasible_ratio)
-        elif tracker.phase == PULL:
+        elif pull_start is not None:
             comparator, eps = PULL, schedule.level(generation - pull_start, feasible_ratio)
         else:
             comparator, eps = PUSH, math.inf
@@ -257,7 +254,6 @@ def run(problem, config, *, force_win_strategy=None):
         tx = make_trials(pop, top_targets, top_strategies, top_f, top_cr, pool,
                          lower, upper, rng)
         tf, tg, th, tphi = evaluate_many(problem, tx)
-        fes += 3 * t
 
         tf3, tphi3 = tf.reshape(3, t), tphi.reshape(3, t)
         if force_win_strategy is not None:
@@ -279,7 +275,6 @@ def run(problem, config, *, force_win_strategy=None):
         bx = make_trials(pop, bottom_idx, picks, b_f_param, b_cr_param, pool,
                          lower, upper, rng)
         b_f, b_g, b_h, b_phi = evaluate_many(problem, bx)
-        fes += n_bottom
 
         # one candidate per member: its best top trial, or its bottom trial
         c_x = np.concatenate((tx[won], bx))
@@ -296,8 +291,7 @@ def run(problem, config, *, force_win_strategy=None):
         c_crp = np.concatenate((top_cr[won], b_cr_param))
         for s in STRATEGIES:
             chosen = accept & (c_strategy == s)
-            if chosen.any():
-                memory.record_success(s, c_fp[chosen], c_crp[chosen], delta[chosen])
+            memory.record_success(s, c_fp[chosen], c_crp[chosen], delta[chosen])
             memory.update_memory(s)
 
         pop[accept] = c_x[accept]
@@ -308,70 +302,45 @@ def run(problem, config, *, force_win_strategy=None):
 
         pop_min_f = float(f.min())
         idx = sf_best_index(f, phi)
-        if bool(sf_better_mask(phi[idx], f[idx], best_phi, best_f)):
-            best_x = pop[idx].copy()
-            best_f = float(f[idx])
-            best_phi = float(phi[idx])
-            best_g = g[idx].copy()
-            best_h = h[idx].copy()
+        if bool(sf_better_mask(phi[idx], f[idx], best.phi, best.f)):
+            best = _member(pop, f, g, h, phi, idx)
 
         rate = math.nan
-        if mode == "pps-de":
+        if cfg.algorithm == "pps-de":
             rate = tracker.update_rate(generation, pop_min_f)
             if tracker.should_switch():
                 pull_start = generation + 1
-                schedule = EpsilonSchedule.from_violations(
-                    phi, cutoff=cutoff, quantile=cfg.eps_quantile,
-                    eps_initial=cfg.eps_initial, shrink=cfg.eps_shrink,
-                    feasible_trigger=cfg.eps_feasible_trigger,
-                    decay_power=cfg.eps_decay_power,
-                )
 
-        rows.append((generation, fes, best_f, best_phi, comparator, eps, sr,
-                     pop_min_f, feasible_ratio, wins,
-                     np.bincount(picks, minlength=3), rate))
-        generation += 1
+        rows.append((best.f, best.phi, comparator, eps, sr, pop_min_f, feasible_ratio,
+                     wins, np.bincount(picks, minlength=3), rate))
 
-    trace = _pack_trace(rows)
-    best = Individual(
-        x=best_x,
-        evaluation=Evaluation(f=best_f, g_values=best_g, h_values=best_h, phi=best_phi),
-    )
     return RunResult(
         best=best,
-        trace=trace,
-        final_fes=int(fes),
-        generations=generation,
-        switch_generation=tracker.switch_generation if mode == "pps-de" else None,
+        trace=_pack_trace(rows, n + gen_cost * np.arange(1, n_gen + 1)),
+        final_fes=n + gen_cost * n_gen,
+        generations=n_gen,
+        switch_generation=tracker.switch_generation,
         wall_time=time.perf_counter() - started,
         config=cfg,
         problem_name=problem.name or "problem",
     )
 
 
-def _pack_trace(rows):
-    if not rows:
-        empty = np.array([])
-        return RunTrace(
-            generation=np.array([], dtype=int), fes=np.array([], dtype=int),
-            best_f=empty, best_phi=empty.copy(), phase=np.array([], dtype=str),
-            eps=empty.copy(), sr=np.empty((0, 3)), pop_min_f=empty.copy(),
-            feasible_ratio=empty.copy(), wins=np.empty((0, 3), dtype=int),
-            bottom_strategies=np.empty((0, 3), dtype=int), rate=empty.copy(),
-        )
-    cols = list(zip(*rows))
+def _pack_trace(rows, fes):
+    """Stack one row per generation into a RunTrace; no rows give empty columns."""
+    best_f, best_phi, phase, eps, sr, pop_min_f, feasible_ratio, wins, bottom, rate = (
+        [row[j] for row in rows] for j in range(10))
     return RunTrace(
-        generation=np.array(cols[0], dtype=int),
-        fes=np.array(cols[1], dtype=int),
-        best_f=np.array(cols[2]),
-        best_phi=np.array(cols[3]),
-        phase=np.array(cols[4]),
-        eps=np.array(cols[5]),
-        sr=np.array(cols[6]),
-        pop_min_f=np.array(cols[7]),
-        feasible_ratio=np.array(cols[8]),
-        wins=np.array(cols[9], dtype=int),
-        bottom_strategies=np.array(cols[10], dtype=int),
-        rate=np.array(cols[11]),
+        generation=np.arange(len(fes)),
+        fes=fes,
+        best_f=np.array(best_f, dtype=float),
+        best_phi=np.array(best_phi, dtype=float),
+        phase=np.array(phase, dtype=str),
+        eps=np.array(eps, dtype=float),
+        sr=np.array(sr, dtype=float).reshape(-1, 3),
+        pop_min_f=np.array(pop_min_f, dtype=float),
+        feasible_ratio=np.array(feasible_ratio, dtype=float),
+        wins=np.array(wins, dtype=int).reshape(-1, 3),
+        bottom_strategies=np.array(bottom, dtype=int).reshape(-1, 3),
+        rate=np.array(rate, dtype=float),
     )
-

@@ -126,12 +126,17 @@ class TestSorting:
         phi = np.array([0.0, 0.1, 0.0])
         np.testing.assert_array_equal(sf_order(f, phi), [2, 0, 1])
 
-    def test_stability_on_ties(self):
-        f = np.array([1.0, 1.0, 1.0])
-        phi = np.array([0.0, 0.0, 0.0])
-        np.testing.assert_array_equal(sf_order(f, phi), [0, 1, 2])
-        phi = np.array([0.5, 0.5, 0.5])
-        np.testing.assert_array_equal(sf_order(f, phi), [0, 1, 2])
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=st.lists(st.tuples(PHI, F), max_size=200))
+    def test_stability_on_ties(self, pairs):
+        """sf_order is the stable sort on (infeasible, violation or objective),
+        so ties, including 0.0 against -0.0, keep their original order."""
+        phi = [p for p, _ in pairs]
+        f = [v for _, v in pairs]
+        expected = sorted(range(len(pairs)),
+                          key=lambda i: (phi[i] > 0, phi[i] if phi[i] > 0 else f[i], i))
+        got = sf_order(np.array(f, dtype=float), np.array(phi, dtype=float))
+        np.testing.assert_array_equal(got, expected)
 
     def test_sorted_order_is_consistent_with_comparison(self):
         rng = np.random.default_rng(9)
