@@ -218,6 +218,11 @@ class TestRunInvariants:
         base = small_run(algorithm="sf-de", pid="P2", dim=3, max_fes=1000, seed=5)
         assert np.all(np.isnan(base.trace.rate))
 
+    def test_best_matches_final_trace_row(self):
+        res = small_run(pid="P2", dim=3, max_fes=3000, seed=6)
+        assert res.trace.best_f[-1] == res.best.f
+        assert res.trace.best_phi[-1] == res.best.phi
+
     def test_determinism(self):
         a = small_run(pid="P3", dim=3, max_fes=3000, seed=7)
         b = small_run(pid="P3", dim=3, max_fes=3000, seed=7)
