@@ -7,8 +7,10 @@ target toward a random member of the current elite pool plus one scaled
 difference, then applies binomial crossover.  The third blends the target
 with a random member using a uniform random coefficient plus one scaled
 difference and uses no crossover at all.  ``make_trials`` builds every row
-of a sub-population in one pass, whatever mix of strategies its rows use,
-and draws each row's distinct indices without rejection.
+of a sub-population in one pass, whatever mix of strategies its rows use:
+it draws each row's distinct indices without rejection, gathers the five
+operand rows of all trials with one index, and repairs bounds only when
+some coordinate has left the box.
 
 Each strategy keeps its own circular memories of successful control
 parameters.  New parameters are sampled around a randomly chosen memory
@@ -18,7 +20,9 @@ distribution truncated to [0, 1].  After a generation, memory cells are
 rewritten from the recorded successes using an improvement-weighted Lehmer
 mean for the scale factor and an improvement-weighted arithmetic mean for
 the crossover rate.  Sampling and recording both take whole arrays, so a
-generation needs one call of each per sub-population or strategy.
+generation needs one call of each per sub-population or strategy, and a
+strategy's single record is folded without concatenation.  The strategy
+statistics keep a running total over their window of win counts.
 """
 
 from __future__ import annotations
@@ -66,6 +70,11 @@ def improvement_weights(deltas):
         raise ValueError("no improvements to weight")
     if np.any(deltas < 0):
         raise ValueError("improvements must be >= 0")
+    return _weights(deltas)
+
+
+def _weights(deltas):
+    # the one weight rule, for a non-empty array of improvements >= 0
     total = deltas.sum()
     if total == 0.0:
         return np.full(deltas.size, 1.0 / deltas.size)
@@ -117,14 +126,16 @@ class ParameterMemory:
         """Record the control parameters of replacements that actually happened.
 
         ``f``, ``cr`` and ``delta`` are aligned arrays of one strategy's
-        successes in order; scalars record a single success.
+        successes in order; scalars record a single success.  The arrays
+        are held, not copied, until ``update_memory`` folds them.
         """
-        f, cr, delta = (np.array(v, dtype=float, ndmin=1) for v in (f, cr, delta))
+        f, cr, delta = (np.asarray(v, dtype=float) for v in (f, cr, delta))
         if not f.shape == cr.shape == delta.shape:
             raise ValueError("successes must be aligned")
         if (delta < 0).any():
             raise ValueError("improvement must be >= 0")
-        self._successes[strategy].append((f, cr, delta))
+        if delta.size:
+            self._successes[strategy].append((f.ravel(), cr.ravel(), delta.ravel()))
 
     def update_memory(self, strategy):
         """Fold this generation's successes into the strategy's memories.
@@ -134,41 +145,51 @@ class ParameterMemory:
         the weighted arithmetic mean, and the pointer advances.  The success
         set is always cleared.
         """
-        if self._successes[strategy]:
-            s_f, s_cr, s_delta = (np.concatenate(c) for c in zip(*self._successes[strategy]))
-            if s_f.size:
-                w = improvement_weights(s_delta)
-                p = self.pointer[strategy]
-                self.f_memory[strategy, p] = (w * s_f**2).sum() / (w * s_f).sum()
-                self.cr_memory[strategy, p] = (w * s_cr).sum()
-                self.pointer[strategy] = (p + 1) % self.length
-        self._successes[strategy] = []
+        records = self._successes[strategy]
+        if not records:
+            return
+        if len(records) == 1:
+            s_f, s_cr, s_delta = records[0]
+        else:
+            s_f, s_cr, s_delta = (np.concatenate(c) for c in zip(*records))
+        w = _weights(s_delta)
+        p = self.pointer[strategy]
+        self.f_memory[strategy, p] = (w * s_f**2).sum() / (w * s_f).sum()
+        self.cr_memory[strategy, p] = (w * s_cr).sum()
+        self.pointer[strategy] = (p + 1) % self.length
+        records.clear()
 
 
 # ---------------------------------------------------------------------------
 # Strategy-selection statistics
 
 class StrategyStats:
-    """Sliding-window win counts and success rates for the three strategies."""
+    """Sliding-window win counts and success rates for the three strategies.
+
+    The window total is kept running: each record adds its counts and
+    subtracts those of the record it evicts.
+    """
 
     def __init__(self, window=25):
         if window < 1:
             raise ValueError("window must be >= 1")
         self.window = int(window)
-        self._wins = deque(maxlen=self.window)
+        self._wins = deque()
+        self._total = np.zeros(len(STRATEGIES), dtype=int)
 
     def record_generation(self, counts):
         """Append one generation's per-strategy win counts."""
-        counts = np.asarray(counts, dtype=int)
-        if counts.shape != (len(STRATEGIES),) or np.any(counts < 0):
+        counts = np.array(counts, dtype=int)
+        if counts.shape != (len(STRATEGIES),) or (counts < 0).any():
             raise ValueError("expected one non-negative count per strategy")
+        if len(self._wins) == self.window:
+            self._total -= self._wins.popleft()
         self._wins.append(counts)
+        self._total += counts
 
     def windowed_wins(self):
         """Per-strategy win totals over the window."""
-        if not self._wins:
-            return np.zeros(len(STRATEGIES), dtype=int)
-        return np.sum(self._wins, axis=0)
+        return self._total.copy()
 
     def success_rates(self, generation):
         """Per-strategy selection probabilities at the given generation.
@@ -180,11 +201,10 @@ class StrategyStats:
         n = len(STRATEGIES)
         if generation < self.window:
             return np.full(n, 1.0 / n)
-        wins = self.windowed_wins()
-        total = wins.sum()
+        total = self._total.sum()
         if total == 0:
             return np.full(n, 1.0 / n)
-        return wins / total
+        return self._total / total
 
 
 def select_strategies(rates, size, rng):
@@ -204,14 +224,20 @@ def pbest_pool_size(n_pop, p_fraction):
 
 def _repair(candidate, parent, lower, upper):
     # out-of-bounds coordinates move to the midpoint of the violated bound
-    # and the parent, which always lies inside the box
-    out = np.where(candidate < lower, 0.5 * (lower + parent), candidate)
-    return np.where(out > upper, 0.5 * (upper + parent), out)
+    # and the parent, which always lies inside the box; a candidate already
+    # inside is returned as it is
+    below = candidate < lower
+    if below.any():
+        candidate = np.where(below, 0.5 * (lower + parent), candidate)
+    above = candidate > upper
+    if above.any():
+        candidate = np.where(above, 0.5 * (upper + parent), candidate)
+    return candidate
 
 
 def repair_bounds(candidate, parent, problem):
     """Midpoint repair of a candidate against the problem's box bounds."""
-    return _repair(np.asarray(candidate, dtype=float), np.asarray(parent, dtype=float),
+    return _repair(np.array(candidate, dtype=float), np.asarray(parent, dtype=float),
                    problem.lower, problem.upper)
 
 
@@ -258,14 +284,13 @@ def make_trials(pop, targets, strategies, f, cr, pool_size, lower, upper, rng):
     rand_1, pbest, cur_rand = strategies == np.arange(len(STRATEGIES))[:, None]
     base = np.where(rand_1, r0, targets)
     coef = np.where(rand_1, 0.0, np.where(pbest, f, rng.random(m)))
-    x_b = pop[base]
-    x_a = pop[np.where(pbest, elite, r0)]
-    donor = x_b + coef[:, None] * (x_a - x_b) + f[:, None] * (pop[r1] - pop[r2])
+    rows = np.concatenate((base, np.where(pbest, elite, r0), r1, r2, targets))
+    x_b, x_a, x_r1, x_r2, x = pop[rows].reshape(5, m, d)
+    donor = x_b + coef[:, None] * (x_a - x_b) + f[:, None] * (x_r1 - x_r2)
 
     mask = rng.random((m, d)) < cr[:, None]
     mask[np.arange(m), j_rand] = True
     mask |= cur_rand[:, None]
-    x = pop[targets]
     return _repair(np.where(mask, donor, x), x, lower, upper)
 
 

@@ -11,6 +11,9 @@ Objective and constraint callables are expected to be numpy expressions that
 reduce over the last axis, so a whole batch of points with shape ``(m, dim)``
 can be evaluated in one call.  Callables that only handle a single point can
 be wrapped in a problem constructed with ``vectorized=False``.
+``evaluate_many`` writes each constraint into its column of a preallocated
+block and tests the objective and each block for finiteness once; only a
+batch that fails that test is searched for its first non-finite entry.
 """
 
 from __future__ import annotations
@@ -148,21 +151,21 @@ def overall_violation(g_values, h_values, sigma):
     """
     g_values = np.asarray(g_values, dtype=float)
     h_values = np.asarray(h_values, dtype=float)
-    total = np.sum(np.maximum(g_values, 0.0), axis=-1)
-    total = total + np.sum(np.maximum(np.abs(h_values) - sigma, 0.0), axis=-1)
+    total = np.maximum(g_values, 0.0).sum(axis=-1)
+    if h_values.shape[-1]:
+        total = total + np.maximum(np.abs(h_values) - sigma, 0.0).sum(axis=-1)
     return total
 
 
-def _check_finite(values, kind, per_constraint):
-    finite = np.isfinite(values)
-    if finite.all():
-        return
-    if per_constraint:
-        bad = np.nonzero(~finite)
-        index = int(bad[-1][0])
-    else:
-        index = 0
-    raise EvaluationError(kind, index)
+def _raise_nonfinite(f, g, h):
+    # the objective first, then the inequalities, then the equalities; a
+    # constraint block reports the column of its first bad entry in row order
+    if not np.isfinite(f).all():
+        raise EvaluationError("objective", 0)
+    for kind, values in (("inequality", g), ("equality", h)):
+        cols = np.nonzero(~np.isfinite(values))[1]
+        if cols.size:
+            raise EvaluationError(kind, int(cols[0]))
 
 
 def evaluate_many(problem, xs):
@@ -187,23 +190,22 @@ def evaluate_many(problem, xs):
     m = xs.shape[0]
 
     if problem.vectorized:
-        f = np.asarray(problem.objective(xs), dtype=float).reshape(m)
-        g_cols = [np.asarray(fn(xs), dtype=float).reshape(m) for fn in problem.inequalities]
-        h_cols = [np.asarray(fn(xs), dtype=float).reshape(m) for fn in problem.equalities]
+        def column(fn):
+            return np.asarray(fn(xs), dtype=float).reshape(m)
     else:
-        f = np.array([float(problem.objective(x)) for x in xs])
-        g_cols = [np.array([float(fn(x)) for x in xs]) for fn in problem.inequalities]
-        h_cols = [np.array([float(fn(x)) for x in xs]) for fn in problem.equalities]
+        def column(fn):
+            return [float(fn(x)) for x in xs]
 
-    g = np.stack(g_cols, axis=-1) if g_cols else np.zeros((m, 0))
-    h = np.stack(h_cols, axis=-1) if h_cols else np.zeros((m, 0))
+    f = np.asarray(column(problem.objective), dtype=float)
+    g = np.empty((m, len(problem.inequalities)))
+    h = np.empty((m, len(problem.equalities)))
+    for block, fns in ((g, problem.inequalities), (h, problem.equalities)):
+        for j, fn in enumerate(fns):
+            block[:, j] = column(fn)
 
-    _check_finite(f, "objective", per_constraint=False)
-    _check_finite(g, "inequality", per_constraint=True)
-    _check_finite(h, "equality", per_constraint=True)
-
-    phi = overall_violation(g, h, problem.sigma)
-    return f, g, h, phi
+    if not (np.isfinite(f).all() and np.isfinite(g).all() and np.isfinite(h).all()):
+        _raise_nonfinite(f, g, h)
+    return f, g, h, overall_violation(g, h, problem.sigma)
 
 
 def evaluate(problem, x):
@@ -221,7 +223,7 @@ def evaluate(problem, x):
 # Analytic suite.  All problems use bounds [-5, 5]^dim and require dim >= 2.
 
 def _sphere_shifted(x):
-    return np.sum((x - 0.5) ** 2, axis=-1)
+    return ((x - 0.5) ** 2).sum(axis=-1)
 
 
 def _first_coordinate_slack(x):
@@ -230,11 +232,11 @@ def _first_coordinate_slack(x):
 
 
 def _sphere(x):
-    return np.sum(x ** 2, axis=-1)
+    return (x ** 2).sum(axis=-1)
 
 
 def _simplex_face(x):
-    return 1.0 - np.sum(x, axis=-1)
+    return 1.0 - x.sum(axis=-1)
 
 
 def _two_coordinate_sum(x):
@@ -242,24 +244,24 @@ def _two_coordinate_sum(x):
 
 
 def _sphere_at_two(x):
-    return np.sum((x - 2.0) ** 2, axis=-1)
+    return ((x - 2.0) ** 2).sum(axis=-1)
 
 
 def _island_gap(x):
     # two feasible cubes: one around the origin, one around 2*ones
-    near_origin = np.max(np.abs(x), axis=-1) - 0.5
-    near_two = np.max(np.abs(x - 2.0), axis=-1) - 0.5
+    near_origin = np.abs(x).max(axis=-1) - 0.5
+    near_two = np.abs(x - 2.0).max(axis=-1) - 0.5
     return np.minimum(near_origin, near_two)
 
 
 def _rosenbrock(x):
     head = x[..., :-1]
     tail = x[..., 1:]
-    return np.sum(100.0 * (tail - head ** 2) ** 2 + (1.0 - head) ** 2, axis=-1)
+    return (100.0 * (tail - head ** 2) ** 2 + (1.0 - head) ** 2).sum(axis=-1)
 
 
 def _ball_excess(x, radius_sq):
-    return np.sum(x ** 2, axis=-1) - radius_sq
+    return (x ** 2).sum(axis=-1) - radius_sq
 
 
 def _build_p1(dim):

@@ -1,7 +1,7 @@
 """Constrained differential evolution with a push-pull phase switch.
 
-One generation proceeds as follows.  The population is sorted
-feasibility-first and split into a top and a bottom part.  Every top member
+One generation proceeds as follows.  The population, kept sorted
+feasibility-first, is split into a top and a bottom part.  Every top member
 generates three trials, one per strategy with independently sampled control
 parameters; the best of the three under the current phase's comparison rule
 is kept and its strategy credited with a win.  Every bottom member generates
@@ -9,7 +9,9 @@ a single trial with a strategy drawn from the windowed win rates.  All
 replacements are one-to-one under the phase rule: constraint-blind while
 pushing, violation-relaxed while pulling.  Successful control parameters,
 weighted by how much they improved the deciding criterion, are folded into
-the per-strategy memories at the end of the generation.
+the per-strategy memories at the end of the generation.  The population is
+then sorted once, and its first row is the only candidate for the
+incumbent.
 
 A run makes exactly ``(max_fes - N) // (3T + N - T)`` generations for a
 population of N with a top part of T; a partial generation never starts.
@@ -44,7 +46,7 @@ from .de import (  # noqa: F401 - the *_batch names stay bound for perfbench/tra
 )
 from .phases import PULL, PUSH, EpsilonSchedule, PhaseTracker
 from .problems import Evaluation, Individual, evaluate_many
-from .selection import (  # noqa: F401 - the *_accept_mask names stay bound for perfbench/tracing.py
+from .selection import (  # noqa: F401 - sf_best_index, *_accept_mask kept for perfbench/tracing.py
     pull_accept_mask,
     push_accept_mask,
     sf_accept_mask,
@@ -219,7 +221,11 @@ def run(problem, config, *, force_win_strategy=None):
 
     pop = rng.uniform(lower, upper, size=(n, d))
     f, g, h, phi = evaluate_many(problem, pop)
-    best = _member(pop, f, g, h, phi, sf_best_index(f, phi))
+    # the population stays sorted feasibility-first between generations,
+    # so row 0 is its best member
+    order = sf_order(f, phi)
+    pop, f, phi, g, h = pop[order], f[order], phi[order], g[order], h[order]
+    best = _member(pop, f, g, h, phi, 0)
 
     memory = ParameterMemory(cfg.memory_length)
     stats = StrategyStats(window=cfg.learning_period)
@@ -229,12 +235,15 @@ def run(problem, config, *, force_win_strategy=None):
     pool = pbest_pool_size(n, cfg.p_fraction)
     top_idx = np.arange(t)
     top_targets = np.tile(top_idx, 3)
-    top_strategies = np.repeat(np.arange(len(STRATEGIES)), t)  # strategy-major
+    strategy_ids = np.arange(len(STRATEGIES))[:, None]
+    top_strategies = np.repeat(strategy_ids, t)  # strategy-major
     bottom_idx = np.arange(t, n)
+    member_rows = np.arange(n)
+    bottom_rows = np.arange(n + 3 * t, 2 * n + 2 * t)  # the bottom trials' rows
 
     rows = []
     for generation in range(n_gen):
-        feasible_ratio = float(np.mean(phi == 0.0))
+        feasible_ratio = np.count_nonzero(phi == 0.0) / n
         if generation == pull_start:
             schedule = EpsilonSchedule.from_violations(
                 phi, cutoff=cutoff, quantile=cfg.eps_quantile, eps_initial=cfg.eps_initial,
@@ -248,8 +257,6 @@ def run(problem, config, *, force_win_strategy=None):
         else:
             comparator, eps = PUSH, math.inf
 
-        order = sf_order(f, phi)
-        pop, f, phi, g, h = pop[order], f[order], phi[order], g[order], h[order]
         top_f, top_cr = memory.sample_parameters_many(top_strategies, 3 * t, rng)
         tx = make_trials(pop, top_targets, top_strategies, top_f, top_cr, pool,
                          lower, upper, rng)
@@ -276,10 +283,11 @@ def run(problem, config, *, force_win_strategy=None):
                          lower, upper, rng)
         b_f, b_g, b_h, b_phi = evaluate_many(problem, bx)
 
-        # one candidate per member: its best top trial, or its bottom trial
-        c_x = np.concatenate((tx[won], bx))
-        c_f = np.concatenate((tf[won], b_f))
-        c_phi = np.concatenate((tphi[won], b_phi))
+        # the generation's rows: the members, the top trials, the bottom
+        # trials; a member's candidate is its best top trial or its bottom trial
+        all_f, all_phi = np.concatenate((f, tf, b_f)), np.concatenate((phi, tphi, b_phi))
+        cand = np.concatenate((won + n, bottom_rows))
+        c_f, c_phi = all_f[cand], all_phi[cand]
         decided = _objective_decided(comparator, phi, c_phi, eps)
         accept = np.where(decided, c_f <= f, c_phi <= phi)
 
@@ -289,21 +297,21 @@ def run(problem, config, *, force_win_strategy=None):
         c_strategy = np.concatenate((winner, picks))
         c_fp = np.concatenate((top_f[won], b_f_param))
         c_crp = np.concatenate((top_cr[won], b_cr_param))
-        for s in STRATEGIES:
-            chosen = accept & (c_strategy == s)
+        for s, chosen in enumerate(accept & (c_strategy == strategy_ids)):
             memory.record_success(s, c_fp[chosen], c_crp[chosen], delta[chosen])
             memory.update_memory(s)
 
-        pop[accept] = c_x[accept]
-        f[accept] = c_f[accept]
-        phi[accept] = c_phi[accept]
-        g[accept] = np.concatenate((tg[won], b_g))[accept]
-        h[accept] = np.concatenate((th[won], b_h))[accept]
+        # each member keeps its row or takes its candidate's, sorted
+        # feasibility-first
+        kept = np.where(accept, cand, member_rows)
+        kept = kept[sf_order(all_f[kept], all_phi[kept])]
+        f, phi = all_f[kept], all_phi[kept]
+        pop = np.concatenate((pop, tx, bx))[kept]
+        g, h = np.concatenate((g, tg, b_g))[kept], np.concatenate((h, th, b_h))[kept]
 
         pop_min_f = float(f.min())
-        idx = sf_best_index(f, phi)
-        if bool(sf_better_mask(phi[idx], f[idx], best.phi, best.f)):
-            best = _member(pop, f, g, h, phi, idx)
+        if sf_better_mask(phi[0], f[0], best.phi, best.f):
+            best = _member(pop, f, g, h, phi, 0)
 
         rate = math.nan
         if cfg.algorithm == "pps-de":

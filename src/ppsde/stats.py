@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-import scipy.stats as ss
 
 __all__ = ["FriedmanAligned", "Summary", "cell_mean", "friedman_aligned", "summarize"]
 
@@ -85,6 +84,10 @@ def friedman_aligned(cell_means):
         Average aligned rank per algorithm, the chi-squared statistic with
         k - 1 degrees of freedom, and its upper-tail p-value.
     """
+    # imported here: scipy.stats is most of the package's import time, and
+    # only this test needs it
+    import scipy.stats as ss
+
     m = np.asarray(cell_means, dtype=float)
     if m.ndim != 2:
         raise ValueError("expected a 2-d matrix of cell means")

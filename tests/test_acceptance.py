@@ -74,6 +74,14 @@ def test_c2_disconnected_region_beats_feasibility_first(island_batches):
 
 
 def test_c3_zero_relaxation_equals_feasibility_first():
+    """Pull at eps = 0 agrees with feasibility-first on ``random_pairs``.
+
+    The equality holds on these pairs because their positive violations are
+    continuous and never tie.  Where both violations are equal and positive
+    and the trial's objective is worse, the two rules differ; that case is
+    pinned by ``test_eps_zero_differs_from_feasibility_first_only_on_equal_positive_violations``
+    in ``test_selection.py``.
+    """
     rng = np.random.default_rng(0)
     phi_p, f_p = random_pairs(rng, 100000)
     phi_t, f_t = random_pairs(rng, 100000)

@@ -1,7 +1,10 @@
 """The public names of the package and of each module resolve."""
 
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,3 +30,14 @@ def test_version_matches_project_metadata():
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     match = re.search(r'^version = "([^"]+)"', text, re.MULTILINE)
     assert match and match.group(1) == ppsde.__version__
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats is most of the import time, and only friedman_aligned needs it
+    src = str(Path(ppsde.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, ppsde; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "False"

@@ -194,6 +194,24 @@ class TestStrategyStats:
         np.testing.assert_array_equal(stats.windowed_wins(), [0, 5, 5])
         np.testing.assert_allclose(stats.success_rates(3), [0.0, 0.5, 0.5])
 
+    @settings(max_examples=100, deadline=None)
+    @given(window=st.integers(1, 30),
+           counts=st.lists(st.lists(st.just(0) | st.integers(0, 40), min_size=3, max_size=3),
+                           max_size=70),
+           generation=st.integers(0, 40))
+    def test_running_total_matches_brute_force_window(self, window, counts, generation):
+        stats = StrategyStats(window=window)
+        np.testing.assert_array_equal(stats.windowed_wins(), [0, 0, 0])
+        for k, c in enumerate(counts):
+            stats.record_generation(c)
+            expected = np.array(counts[max(0, k + 1 - window):k + 1]).sum(axis=0)
+            np.testing.assert_array_equal(stats.windowed_wins(), expected)
+            if generation < window or expected.sum() == 0:
+                rates = np.full(3, 1 / 3)
+            else:
+                rates = expected / expected.sum()
+            np.testing.assert_array_equal(stats.success_rates(generation), rates)
+
     def test_record_validation(self):
         stats = StrategyStats()
         with pytest.raises(ValueError):

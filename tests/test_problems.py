@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.optimize import minimize
 
@@ -115,6 +117,53 @@ class TestEvaluate:
             evaluate_many(prob, np.zeros((3, 2)))
         assert err.value.kind == "inequality"
         assert err.value.index == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.integers(1, 6), q=st.integers(0, 3), p=st.integers(0, 3),
+           bad=st.lists(st.tuples(st.sampled_from(["objective", "inequality", "equality"]),
+                                  st.integers(0, 5), st.integers(0, 2),
+                                  st.sampled_from([np.nan, np.inf, -np.inf])),
+                        max_size=3),
+           vectorized=st.booleans())
+    @example(m=2, q=2, p=1, bad=[("inequality", 1, 1, -np.inf)], vectorized=True)
+    def test_nonfinite_report_matches_loop_reference(self, m, q, p, bad, vectorized):
+        rng = np.random.default_rng(0)
+        table = {"objective": rng.normal(size=(m, 1)), "inequality": rng.normal(size=(m, q)),
+                 "equality": rng.normal(size=(m, p))}
+        for kind, row, col, value in bad:
+            block = table[kind]
+            if block.shape[1]:
+                block[row % m, col % block.shape[1]] = value
+
+        expected = None  # the first bad entry: objective, then inequalities, then equalities
+        for kind, block in table.items():
+            cells = [(i, j) for i in range(m) for j in range(block.shape[1])
+                     if not np.isfinite(block[i, j])]
+            if cells:
+                expected = (kind, 0 if kind == "objective" else cells[0][1])
+                break
+
+        def columns(block):
+            # coordinate 0 of a point is its row in the table
+            return tuple(lambda x, j=j: block[x[..., 0].astype(int), j]
+                         for j in range(block.shape[1]))
+
+        (objective,) = columns(table["objective"])
+        prob = Problem(dim=2, lower=-1.0, upper=float(m), objective=objective,
+                       inequalities=columns(table["inequality"]),
+                       equalities=columns(table["equality"]), vectorized=vectorized)
+        xs = np.zeros((m, 2))
+        xs[:, 0] = np.arange(m)
+        if expected is None:
+            f, g, h, phi = evaluate_many(prob, xs)
+            assert_array_equal(f, table["objective"][:, 0])
+            assert_array_equal(g, table["inequality"])
+            assert_array_equal(h, table["equality"])
+            assert_array_equal(phi, overall_violation(g, h, prob.sigma))
+        else:
+            with pytest.raises(EvaluationError) as err:
+                evaluate_many(prob, xs)
+            assert (err.value.kind, err.value.index) == expected
 
     def test_scalar_callables_via_vectorized_false(self):
         vec = make_suite_problem("P2", 3)
