@@ -8,9 +8,8 @@ difference, then applies binomial crossover.  The third blends the target
 with a random member using a uniform random coefficient plus one scaled
 difference and uses no crossover at all.  ``make_trials`` builds every row
 of a sub-population in one pass, whatever mix of strategies its rows use:
-it draws each row's distinct indices without rejection, gathers the five
-operand rows of all trials with one index, and repairs bounds only when
-some coordinate has left the box.
+it draws each row's distinct indices without rejection and gathers the five
+operand rows of all trials with one index.
 
 Each strategy keeps its own circular memories of successful control
 parameters.  New parameters are sampled around a randomly chosen memory
@@ -20,9 +19,8 @@ distribution truncated to [0, 1].  After a generation, memory cells are
 rewritten from the recorded successes using an improvement-weighted Lehmer
 mean for the scale factor and an improvement-weighted arithmetic mean for
 the crossover rate.  Sampling and recording both take whole arrays, so a
-generation needs one call of each per sub-population or strategy, and a
-strategy's single record is folded without concatenation.  The strategy
-statistics keep a running total over their window of win counts.
+generation needs one call of each per sub-population or strategy.  The
+strategy statistics keep a running total over their window of win counts.
 """
 
 from __future__ import annotations
@@ -126,16 +124,17 @@ class ParameterMemory:
         """Record the control parameters of replacements that actually happened.
 
         ``f``, ``cr`` and ``delta`` are aligned arrays of one strategy's
-        successes in order; scalars record a single success.  The arrays
-        are held, not copied, until ``update_memory`` folds them.
+        successes in order; scalars record a single success.  The values
+        are copied, so later changes to the caller's arrays do not reach
+        the memory update.
         """
-        f, cr, delta = (np.asarray(v, dtype=float) for v in (f, cr, delta))
+        f, cr, delta = (np.array(v, dtype=float, ndmin=1) for v in (f, cr, delta))
         if not f.shape == cr.shape == delta.shape:
             raise ValueError("successes must be aligned")
         if (delta < 0).any():
             raise ValueError("improvement must be >= 0")
         if delta.size:
-            self._successes[strategy].append((f.ravel(), cr.ravel(), delta.ravel()))
+            self._successes[strategy].append((f, cr, delta))
 
     def update_memory(self, strategy):
         """Fold this generation's successes into the strategy's memories.
@@ -148,10 +147,7 @@ class ParameterMemory:
         records = self._successes[strategy]
         if not records:
             return
-        if len(records) == 1:
-            s_f, s_cr, s_delta = records[0]
-        else:
-            s_f, s_cr, s_delta = (np.concatenate(c) for c in zip(*records))
+        s_f, s_cr, s_delta = (np.concatenate(c) for c in zip(*records))
         w = _weights(s_delta)
         p = self.pointer[strategy]
         self.f_memory[strategy, p] = (w * s_f**2).sum() / (w * s_f).sum()
@@ -224,20 +220,14 @@ def pbest_pool_size(n_pop, p_fraction):
 
 def _repair(candidate, parent, lower, upper):
     # out-of-bounds coordinates move to the midpoint of the violated bound
-    # and the parent, which always lies inside the box; a candidate already
-    # inside is returned as it is
-    below = candidate < lower
-    if below.any():
-        candidate = np.where(below, 0.5 * (lower + parent), candidate)
-    above = candidate > upper
-    if above.any():
-        candidate = np.where(above, 0.5 * (upper + parent), candidate)
-    return candidate
+    # and the parent, which always lies inside the box
+    out = np.where(candidate < lower, 0.5 * (lower + parent), candidate)
+    return np.where(out > upper, 0.5 * (upper + parent), out)
 
 
 def repair_bounds(candidate, parent, problem):
     """Midpoint repair of a candidate against the problem's box bounds."""
-    return _repair(np.array(candidate, dtype=float), np.asarray(parent, dtype=float),
+    return _repair(np.asarray(candidate, dtype=float), np.asarray(parent, dtype=float),
                    problem.lower, problem.upper)
 
 

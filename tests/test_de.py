@@ -126,6 +126,28 @@ class TestParameterMemory:
         with pytest.raises(ValueError):
             ParameterMemory().record_success(Strategy.RAND_1_BIN, [0.5, 0.6], [0.5], [1.0, 1.0])
 
+    def test_recorded_arrays_are_copies(self):
+        f, cr, delta = np.array([0.5, 1.0]), np.array([0.2, 0.4]), np.array([1.0, 3.0])
+        changed, reference = ParameterMemory(length=2), ParameterMemory(length=2)
+        changed.record_success(Strategy.RAND_1_BIN, f, cr, delta)
+        reference.record_success(Strategy.RAND_1_BIN, f.copy(), cr.copy(), delta.copy())
+        # the caller reuses its buffers, here with a negative improvement
+        f[:], cr[:], delta[:] = 0.9, 0.9, -5.0
+        changed.update_memory(Strategy.RAND_1_BIN)
+        reference.update_memory(Strategy.RAND_1_BIN)
+        for name in ("f_memory", "cr_memory", "pointer"):
+            assert getattr(changed, name).tobytes() == getattr(reference, name).tobytes()
+        assert changed.f_memory[0, 0] == pytest.approx((1 * 0.25 + 3 * 1.0) / (1 * 0.5 + 3 * 1.0))
+
+    def test_scalar_mixes_with_one_element_arrays(self):
+        mixed, scalars = ParameterMemory(length=2), ParameterMemory(length=2)
+        mixed.record_success(Strategy.CURRENT_TO_PBEST, 0.5, [0.3], [1.0])
+        scalars.record_success(Strategy.CURRENT_TO_PBEST, 0.5, 0.3, 1.0)
+        mixed.update_memory(Strategy.CURRENT_TO_PBEST)
+        scalars.update_memory(Strategy.CURRENT_TO_PBEST)
+        assert mixed.f_memory.tobytes() == scalars.f_memory.tobytes()
+        assert mixed.cr_memory.tobytes() == scalars.cr_memory.tobytes()
+
     def test_per_row_strategies_sample_their_own_cells(self):
         mem = ParameterMemory(length=2)
         mem.f_memory[:] = [[0.1], [0.5], [0.9]]
