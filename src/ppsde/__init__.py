@@ -37,7 +37,7 @@ from .solver import (
 )
 from .stats import friedman_aligned, summarize
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "ALGORITHMS",

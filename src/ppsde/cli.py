@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problems import canonical_problem_id, make_suite_problem
-from .solver import ALGORITHMS, RunConfig, run
+from .solver import ALGORITHMS, RunConfig, _resolve, run
 from .stats import cell_mean, friedman_aligned, summarize
 
 __all__ = [
@@ -128,6 +128,12 @@ def parse_args(argv):
     def setting(key, default):
         return file_values.pop(key, default)
 
+    def file_int(key, text):
+        try:
+            return int(text)
+        except ValueError:
+            parser.error(f"config key {key!r} must be an integer, got {text!r}")
+
     file_problems = _split_list(setting("problem", ""))
     file_dims = _split_list(setting("dim", "10"))
     file_algos = _split_list(setting("algo", "pps-de"))
@@ -144,7 +150,7 @@ def parse_args(argv):
     except ValueError as exc:
         parser.error(str(exc))
 
-    dims = ns.dim if ns.dim else [int(v) for v in file_dims]
+    dims = ns.dim if ns.dim else [file_int("dim", v) for v in file_dims]
     if any(d < 2 for d in dims):
         parser.error("--dim must be >= 2")
 
@@ -153,12 +159,12 @@ def parse_args(argv):
         if algo not in ALGORITHMS:
             parser.error(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
 
-    runs = ns.runs if ns.runs is not None else int(file_runs)
+    runs = ns.runs if ns.runs is not None else file_int("runs", file_runs)
     if runs < 1:
         parser.error("--runs must be >= 1")
-    seed = ns.seed if ns.seed is not None else int(file_seed)
+    seed = ns.seed if ns.seed is not None else file_int("seed", file_seed)
     out_dir = ns.out if ns.out is not None else str(file_out)
-    workers = ns.workers if ns.workers is not None else int(file_workers)
+    workers = ns.workers if ns.workers is not None else file_int("workers", file_workers)
     if workers < 1:
         parser.error("--workers must be >= 1")
 
@@ -244,6 +250,11 @@ def _cell_key(problem_id, dim, algo):
 def execute(spec):
     """Run the batch described by an ExperimentSpec; returns an exit code."""
     try:
+        # an invalid cell fails the batch before any output is written
+        for pid, dim in spec.problems:
+            problem = make_suite_problem(pid, dim)
+            for algo in spec.algorithms:
+                _resolve(problem, RunConfig(algorithm=algo, **spec.overrides))
         os.makedirs(spec.out_dir, exist_ok=True)
         jobs = [
             (pid, dim, algo, i, spec.base_seed + i, spec.overrides, spec.out_dir)

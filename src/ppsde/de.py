@@ -213,7 +213,7 @@ def select_strategies(rates, size, rng):
 # ---------------------------------------------------------------------------
 # Trial generation
 
-def pbest_pool_size(n_pop, p_fraction):
+def pbest_pool_size(n_pop, p_fraction=0.05):
     """Size of the elite pool: round half up, never below one."""
     return max(1, int(np.floor(p_fraction * n_pop + 0.5)))
 

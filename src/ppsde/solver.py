@@ -66,17 +66,20 @@ __all__ = [
 ALGORITHMS = ("pps-de", "sf-de", "eps-de")
 
 _SF_MODE = "sf"
+_EPS_CUTOFF_FRACTION = 0.9  # eps is 0 from this share of max_fes / (2N) generations on
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Algorithm selection and every tunable of a single run.
+    """Algorithm selection and the settings a caller varies between runs.
 
     ``n_pop``, ``top_size`` and ``max_fes`` default to five times the
     dimension, half the population and 20000 evaluations per dimension when
     left as None.  ``sigma`` overrides the problem's equality tolerance when
     set.  ``eps_initial`` overrides the violation-quantile start level of
-    the pull schedule when set.
+    the pull schedule when set.  The method's fixed constants are the
+    defaults of ``PhaseTracker``, ``EpsilonSchedule``, ``ParameterMemory``
+    and ``pbest_pool_size``, and ``_EPS_CUTOFF_FRACTION``.
     """
 
     algorithm: str = "pps-de"
@@ -85,17 +88,8 @@ class RunConfig:
     top_size: int | None = None
     max_fes: int | None = None
     learning_period: int = 25
-    p_fraction: float = 0.05
-    memory_length: int = 5
     sigma: float | None = None
-    switch_threshold: float = 1e-3
-    switch_delta: float = 1e-6
     eps_initial: float | None = None
-    eps_quantile: float = 0.95
-    eps_shrink: float = 0.1
-    eps_feasible_trigger: float = 0.95
-    eps_decay_power: float = 2.0
-    eps_cutoff_fraction: float = 0.9
 
 
 @dataclass(frozen=True)
@@ -141,27 +135,14 @@ def _resolve(problem, config):
     n = config.n_pop if config.n_pop is not None else 5 * problem.dim
     t = config.top_size if config.top_size is not None else n // 2
     fes = config.max_fes if config.max_fes is not None else 20000 * problem.dim
-    if n < 4:
-        raise ValueError("population size must be >= 4")
-    if not 4 <= t <= n:
-        raise ValueError("top size must satisfy 4 <= top <= population size")
-    if fes < n:
-        raise ValueError("evaluation budget must cover the initial population")
-    if config.learning_period < 1 or config.memory_length < 1:
-        raise ValueError("learning period and memory length must be >= 1")
-    if not 0 < config.p_fraction <= 1:
-        raise ValueError("p_fraction must lie in (0, 1]")
-    # every remaining check is written so that NaN fails it
+    # every check is written so that NaN fails it
     checks = (
+        (n >= 4, "population size must be >= 4"),
+        (4 <= t <= n, "top size must satisfy 4 <= top <= population size"),
+        (fes >= n, "evaluation budget must cover the initial population"),
+        (config.learning_period >= 1, "learning period must be >= 1"),
         (config.sigma is None or config.sigma >= 0, "sigma must be >= 0"),
-        (not math.isnan(config.switch_threshold), "switch_threshold must be a number"),
-        (0 < config.switch_delta < math.inf, "switch_delta must be positive and finite"),
         (config.eps_initial is None or config.eps_initial >= 0, "eps_initial must be >= 0"),
-        (0 <= config.eps_quantile <= 1, "eps_quantile must lie in [0, 1]"),
-        (0 <= config.eps_shrink < 1, "eps_shrink must lie in [0, 1)"),
-        (0 <= config.eps_feasible_trigger <= 1, "eps_feasible_trigger must lie in [0, 1]"),
-        (0 < config.eps_decay_power < math.inf, "eps_decay_power must be positive and finite"),
-        (0 < config.eps_cutoff_fraction <= 1, "eps_cutoff_fraction must lie in (0, 1]"),
     )
     for ok, message in checks:
         if not ok:
@@ -190,11 +171,9 @@ def _strictly_better(mode, phi_new, f_new, phi_old, f_old, eps):
                     f_new < f_old, phi_new < phi_old)
 
 
-def _member(pop, f, g, h, phi, i):
-    """Member ``i`` of the evaluated population as an Individual of copies."""
-    evaluation = Evaluation(f=float(f[i]), g_values=g[i].copy(), h_values=h[i].copy(),
-                            phi=float(phi[i]))
-    return Individual(x=pop[i].copy(), evaluation=evaluation)
+def _member(x, f, phi, g, h):
+    """One evaluated point as an Individual of copies."""
+    return Individual(x.copy(), Evaluation(float(f), g.copy(), h.copy(), float(phi)))
 
 
 def run(problem, config, *, force_win_strategy=None):
@@ -217,22 +196,22 @@ def run(problem, config, *, force_win_strategy=None):
     gen_cost = 3 * t + n_bottom
     n_gen = (cfg.max_fes - n) // gen_cost
     lower, upper = problem.lower, problem.upper
-    cutoff = cfg.eps_cutoff_fraction * (cfg.max_fes / (2.0 * n))
+    cutoff = _EPS_CUTOFF_FRACTION * (cfg.max_fes / (2.0 * n))
 
     pop = rng.uniform(lower, upper, size=(n, d))
     f, g, h, phi = evaluate_many(problem, pop)
     # the population stays sorted feasibility-first between generations,
     # so row 0 is its best member
     order = sf_order(f, phi)
-    pop, f, phi, g, h = pop[order], f[order], phi[order], g[order], h[order]
-    best = _member(pop, f, g, h, phi, 0)
+    pop, f, phi = pop[order], f[order], phi[order]
+    best = _member(pop[0], f[0], phi[0], g[order[0]], h[order[0]])
 
-    memory = ParameterMemory(cfg.memory_length)
+    memory = ParameterMemory()
     stats = StrategyStats(window=cfg.learning_period)
-    tracker = PhaseTracker(cfg.learning_period, cfg.switch_threshold, cfg.switch_delta)
+    tracker = PhaseTracker(cfg.learning_period)
     pull_start = 0 if cfg.algorithm == "eps-de" else None
 
-    pool = pbest_pool_size(n, cfg.p_fraction)
+    pool = pbest_pool_size(n)
     top_idx = np.arange(t)
     top_targets = np.tile(top_idx, 3)
     strategy_ids = np.arange(len(STRATEGIES))[:, None]
@@ -245,11 +224,8 @@ def run(problem, config, *, force_win_strategy=None):
     for generation in range(n_gen):
         feasible_ratio = np.count_nonzero(phi == 0.0) / n
         if generation == pull_start:
-            schedule = EpsilonSchedule.from_violations(
-                phi, cutoff=cutoff, quantile=cfg.eps_quantile, eps_initial=cfg.eps_initial,
-                shrink=cfg.eps_shrink, feasible_trigger=cfg.eps_feasible_trigger,
-                decay_power=cfg.eps_decay_power,
-            )
+            schedule = EpsilonSchedule.from_violations(phi, cutoff=cutoff,
+                                                       eps_initial=cfg.eps_initial)
         if cfg.algorithm == "sf-de":
             comparator, eps = _SF_MODE, math.nan
         elif pull_start is not None:
@@ -307,11 +283,14 @@ def run(problem, config, *, force_win_strategy=None):
         kept = kept[sf_order(all_f[kept], all_phi[kept])]
         f, phi = all_f[kept], all_phi[kept]
         pop = np.concatenate((pop, tx, bx))[kept]
-        g, h = np.concatenate((g, tg, b_g))[kept], np.concatenate((h, th, b_h))[kept]
 
         pop_min_f = float(f.min())
         if sf_better_mask(phi[0], f[0], best.phi, best.f):
-            best = _member(pop, f, g, h, phi, 0)
+            # every kept member is no better than last generation's row 0,
+            # hence than the incumbent, so a new incumbent is a trial
+            r = kept[0] - n
+            best = _member(pop[0], f[0], phi[0], np.concatenate((tg, b_g))[r],
+                           np.concatenate((th, b_h))[r])
 
         rate = math.nan
         if cfg.algorithm == "pps-de":

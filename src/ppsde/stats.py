@@ -68,6 +68,17 @@ def cell_mean(final_f, final_phi):
     return float(np.mean(final_phi)), True
 
 
+def _average_ranks(values):
+    """1-based ranks of a flat array; tied values share the mean of their positions."""
+    order = np.argsort(values)
+    ordered = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ends = np.append(starts[1:], values.size)
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
+
+
 def friedman_aligned(cell_means):
     """Aligned-ranks comparison of k algorithms over n problems.
 
@@ -84,9 +95,7 @@ def friedman_aligned(cell_means):
         Average aligned rank per algorithm, the chi-squared statistic with
         k - 1 degrees of freedom, and its upper-tail p-value.
     """
-    # imported here: scipy.stats is most of the package's import time, and
-    # only this test needs it
-    import scipy.stats as ss
+    from scipy.special import chdtrc  # imported here so that import ppsde loads numpy only
 
     m = np.asarray(cell_means, dtype=float)
     if m.ndim != 2:
@@ -100,7 +109,7 @@ def friedman_aligned(cell_means):
         raise ValueError(f"missing or non-finite cells at {cells}")
 
     aligned = m - m.mean(axis=1, keepdims=True)
-    ranks = ss.rankdata(aligned.ravel()).reshape(n, k)
+    ranks = _average_ranks(aligned.ravel()).reshape(n, k)
 
     col_sums = ranks.sum(axis=0)
     row_sums = ranks.sum(axis=1)
@@ -108,7 +117,7 @@ def friedman_aligned(cell_means):
     numerator = (k - 1) * (col_sums @ col_sums - (k * n**2 / 4.0) * (total + 1) ** 2)
     denominator = total * (total + 1) * (2 * total + 1) / 6.0 - row_sums @ row_sums / k
     statistic = float(numerator / denominator)
-    p_value = float(ss.chi2.sf(statistic, k - 1))
+    p_value = float(chdtrc(k - 1, statistic))
     return FriedmanAligned(
         avg_ranks=ranks.mean(axis=0),
         statistic=statistic,

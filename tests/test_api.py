@@ -32,12 +32,25 @@ def test_version_matches_project_metadata():
     assert match and match.group(1) == ppsde.__version__
 
 
-def test_import_does_not_load_scipy_stats():
-    # scipy.stats is most of the import time, and only friedman_aligned needs it
+def _loaded_modules_after(code):
+    """Names from a fresh interpreter's sys.modules once ``code`` has run."""
     src = str(Path(ppsde.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path)
-    code = "import sys, ppsde; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    script = f"import sys\n{code}\nprint(' '.join(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    return set(out.stdout.split())
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats is most of the import time, and nothing in ppsde needs it
+    loaded = _loaded_modules_after("import ppsde")
+    assert "scipy.stats" not in loaded
+    assert "scipy.special" not in loaded
+
+
+def test_friedman_aligned_loads_scipy_special_only():
+    loaded = _loaded_modules_after("import ppsde; ppsde.friedman_aligned([[1, 2], [3, 5]])")
+    assert "scipy.special" in loaded
+    assert "scipy.stats" not in loaded

@@ -100,6 +100,28 @@ class TestParseArgs:
             parse_args(["run", "--config", str(cfg)])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("key", ["p-fraction", "memory-length", "switch-threshold",
+                                     "switch-delta", "eps-quantile", "eps-shrink",
+                                     "eps-feasible-trigger", "eps-decay-power",
+                                     "eps-cutoff-fraction"])
+    def test_fixed_constants_are_not_config_keys(self, tmp_path, capsys, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"problem = P1\n{key} = 0.5\n")
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["run", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "unknown config key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["runs = abc", "seed = 1.5", "dim = ten",
+                                      "workers = two"])
+    def test_non_integer_config_value_exits_2(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"problem = P1\n{line}\n")
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["run", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "must be an integer" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_parses_flat_keys(self, tmp_path):
@@ -228,6 +250,16 @@ class TestExecute:
         spec = fast_spec(tmp_path / "x", overrides={"n_pop": 3})
         assert execute(spec) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_config_invalid_for_a_later_cell_fails_before_any_output(self, tmp_path, capsys):
+        # a top part of 20 fits the D=10 population of 50 but not the D=2
+        # population of 10
+        out = tmp_path / "x"
+        spec = fast_spec(out, problems=(("P1-sphere-shifted", 10), ("P1-sphere-shifted", 2)),
+                         algorithms=("pps-de",), overrides={"top_size": 20, "max_fes": 300})
+        assert execute(spec) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_main_raises_system_exit(self, tmp_path):
         out = tmp_path / "m"

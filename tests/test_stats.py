@@ -1,8 +1,29 @@
 import numpy as np
 import pytest
 import scipy.stats as ss
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ppsde.stats import FriedmanAligned, Summary, cell_mean, friedman_aligned, summarize
+from ppsde.stats import (
+    FriedmanAligned,
+    Summary,
+    _average_ranks,
+    cell_mean,
+    friedman_aligned,
+    summarize,
+)
+
+
+def matrices(values):
+    """n x k matrices, 2 <= n <= 8 and 2 <= k <= 5, with entries from ``values``."""
+    return st.tuples(st.integers(2, 8), st.integers(2, 5)).flatmap(
+        lambda shape: st.lists(st.lists(values, min_size=shape[1], max_size=shape[1]),
+                               min_size=shape[0], max_size=shape[0]))
+
+
+# few distinct entries, so aligned values tie often, within and across rows
+TIE_RICH = (matrices(st.integers(-2, 2).map(float))
+            | matrices(st.sampled_from([0.0, 0.1, 0.5, 1.0, 3.0, 1e-8])))
 
 
 def brute_force_aligned_ranks(m):
@@ -92,6 +113,19 @@ class TestFriedmanAligned:
         assert res.statistic == 0.0
         assert res.p_value == 1.0
         np.testing.assert_array_equal(res.avg_ranks, [3.5, 3.5])
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=TIE_RICH | matrices(st.floats(-1e3, 1e3)))
+    def test_matches_scipy_stats_on_tie_rich_matrices(self, m):
+        """numpy average ranks equal scipy.stats.rankdata bit for bit, and the
+        p-value equals chi2.sf, so friedman.json keeps its bytes."""
+        m = np.array(m)
+        aligned = (m - m.mean(axis=1, keepdims=True)).ravel()
+        ranks = ss.rankdata(aligned)
+        np.testing.assert_array_equal(_average_ranks(aligned), ranks)
+        res = friedman_aligned(m)
+        np.testing.assert_array_equal(res.avg_ranks, ranks.reshape(m.shape).mean(axis=0))
+        assert res.p_value == float(ss.chi2.sf(res.statistic, m.shape[1] - 1))
 
     def test_validation(self):
         with pytest.raises(ValueError):
