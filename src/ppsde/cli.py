@@ -98,15 +98,6 @@ def load_config_file(path):
     return values
 
 
-def _convert(text):
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text
-
-
 def _split_list(text):
     return [part.strip() for part in str(text).split(",") if part.strip()]
 
@@ -134,6 +125,14 @@ def parse_args(argv):
         except ValueError:
             parser.error(f"config key {key!r} must be an integer, got {text!r}")
 
+    def file_number(key, text):
+        for cast in (int, float):
+            try:
+                return cast(text)
+            except ValueError:
+                pass
+        parser.error(f"config key {key!r} must be a number, got {text!r}")
+
     file_problems = _split_list(setting("problem", ""))
     file_dims = _split_list(setting("dim", "10"))
     file_algos = _split_list(setting("algo", "pps-de"))
@@ -158,6 +157,10 @@ def parse_args(argv):
     for algo in algos:
         if algo not in ALGORITHMS:
             parser.error(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
+    # a repeated cell would write its traces twice under one name
+    for what, values in (("problem", problem_ids), ("dim", dims), ("algorithm", algos)):
+        if len(set(values)) < len(values):
+            parser.error(f"each {what} may be given only once, got {values}")
 
     runs = ns.runs if ns.runs is not None else file_int("runs", file_runs)
     if runs < 1:
@@ -173,7 +176,7 @@ def parse_args(argv):
         name = {"pop": "n_pop", "top": "top_size"}.get(key, key)
         if name not in _OVERRIDE_FIELDS:
             parser.error(f"unknown config key {key!r}")
-        overrides[name] = _convert(raw)
+        overrides[name] = file_number(key, raw)
     if ns.max_fes is not None:
         overrides["max_fes"] = ns.max_fes
     if ns.pop is not None:

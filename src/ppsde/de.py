@@ -166,7 +166,7 @@ class StrategyStats:
     subtracts those of the record it evicts.
     """
 
-    def __init__(self, window=25):
+    def __init__(self, window):
         if window < 1:
             raise ValueError("window must be >= 1")
         self.window = int(window)

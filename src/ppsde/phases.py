@@ -29,7 +29,7 @@ class PhaseTracker:
     learning period of values exists the rate is pinned at 1.
     """
 
-    def __init__(self, learning_period=25, threshold=1e-3, delta=1e-6):
+    def __init__(self, learning_period, threshold=1e-3, delta=1e-6):
         if learning_period < 1:
             raise ValueError("learning period must be >= 1")
         self.learning_period = int(learning_period)

@@ -5,7 +5,10 @@ feasibility-first, is split into a top and a bottom part.  Every top member
 generates three trials, one per strategy with independently sampled control
 parameters; the best of the three under the current phase's comparison rule
 is kept and its strategy credited with a win.  Every bottom member generates
-a single trial with a strategy drawn from the windowed win rates.  All
+a single trial with a strategy drawn from the windowed win rates.  One
+offspring step serves both parts: it samples the control parameters, builds
+the trials and evaluates them, first for the top targets and then for the
+bottom ones, and the two results form one trial block per generation.  All
 replacements are one-to-one under the phase rule: constraint-blind while
 pushing, violation-relaxed while pulling.  Successful control parameters,
 weighted by how much they improved the deciding criterion, are folded into
@@ -135,19 +138,23 @@ def _resolve(problem, config):
     n = config.n_pop if config.n_pop is not None else 5 * problem.dim
     t = config.top_size if config.top_size is not None else n // 2
     fes = config.max_fes if config.max_fes is not None else 20000 * problem.dim
-    # every check is written so that NaN fails it
+    period = config.learning_period
+    # every check is written so that NaN fails it; a float such as 1e5 passes the first
     checks = (
+        (all(v % 1 == 0 for v in (n, t, fes, period)),
+         "population, top size, budget and learning period must be whole numbers"),
         (n >= 4, "population size must be >= 4"),
         (4 <= t <= n, "top size must satisfy 4 <= top <= population size"),
         (fes >= n, "evaluation budget must cover the initial population"),
-        (config.learning_period >= 1, "learning period must be >= 1"),
+        (period >= 1, "learning period must be >= 1"),
         (config.sigma is None or config.sigma >= 0, "sigma must be >= 0"),
         (config.eps_initial is None or config.eps_initial >= 0, "eps_initial must be >= 0"),
     )
     for ok, message in checks:
         if not ok:
             raise ValueError(message)
-    return replace(config, n_pop=int(n), top_size=int(t), max_fes=int(fes))
+    return replace(config, n_pop=int(n), top_size=int(t), max_fes=int(fes),
+                   learning_period=int(period))
 
 
 def _objective_decided(mode, phi_a, phi_b, eps):
@@ -218,9 +225,23 @@ def run(problem, config, *, force_win_strategy=None):
     top_strategies = np.repeat(strategy_ids, t)  # strategy-major
     bottom_idx = np.arange(t, n)
     member_rows = np.arange(n)
-    bottom_rows = np.arange(n + 3 * t, 2 * n + 2 * t)  # the bottom trials' rows
+    bottom_rows = np.arange(3 * t, gen_cost)  # the bottom trials' rows of the trial block
 
-    rows = []
+    def offspring(pop, targets, strategies):
+        """One trial per target with freshly sampled F/CR: x, f, g, h, phi, F, CR."""
+        f_param, cr_param = memory.sample_parameters_many(strategies, len(targets), rng)
+        x = make_trials(pop, targets, strategies, f_param, cr_param, pool, lower, upper, rng)
+        return (x, *evaluate_many(problem, x), f_param, cr_param)
+
+    trace = RunTrace(
+        generation=np.arange(n_gen), fes=n + gen_cost * np.arange(1, n_gen + 1),
+        best_f=np.empty(n_gen), best_phi=np.empty(n_gen), eps=np.empty(n_gen),
+        phase=np.empty(n_gen, dtype="U4"),  # wide enough for every mode name
+        pop_min_f=np.empty(n_gen), feasible_ratio=np.empty(n_gen),
+        rate=np.full(n_gen, math.nan),  # only pps-de writes it
+        sr=np.empty((n_gen, 3)), wins=np.empty((n_gen, 3), dtype=int),
+        bottom_strategies=np.empty((n_gen, 3), dtype=int),
+    )
     for generation in range(n_gen):
         feasible_ratio = np.count_nonzero(phi == 0.0) / n
         if generation == pull_start:
@@ -233,12 +254,8 @@ def run(problem, config, *, force_win_strategy=None):
         else:
             comparator, eps = PUSH, math.inf
 
-        top_f, top_cr = memory.sample_parameters_many(top_strategies, 3 * t, rng)
-        tx = make_trials(pop, top_targets, top_strategies, top_f, top_cr, pool,
-                         lower, upper, rng)
-        tf, tg, th, tphi = evaluate_many(problem, tx)
-
-        tf3, tphi3 = tf.reshape(3, t), tphi.reshape(3, t)
+        top = offspring(pop, top_targets, top_strategies)
+        tf3, tphi3 = top[1].reshape(3, t), top[4].reshape(3, t)
         if force_win_strategy is not None:
             winner = np.full(t, int(force_win_strategy))
         else:
@@ -247,23 +264,20 @@ def run(problem, config, *, force_win_strategy=None):
                 better = _strictly_better(comparator, tphi3[c], tf3[c],
                                           tphi3[winner, top_idx], tf3[winner, top_idx], eps)
                 winner = np.where(better, c, winner)
-        won = winner * t + top_idx  # flat rows of the winning top trials
 
         wins = np.bincount(winner, minlength=3)
         stats.record_generation(wins)
         sr = stats.success_rates(generation)
 
         picks = select_strategies(sr, n_bottom, rng)
-        b_f_param, b_cr_param = memory.sample_parameters_many(picks, n_bottom, rng)
-        bx = make_trials(pop, bottom_idx, picks, b_f_param, b_cr_param, pool,
-                         lower, upper, rng)
-        b_f, b_g, b_h, b_phi = evaluate_many(problem, bx)
+        bottom = offspring(pop, bottom_idx, picks)
 
-        # the generation's rows: the members, the top trials, the bottom
+        # the trial block: the top trials, strategy-major, then the bottom
         # trials; a member's candidate is its best top trial or its bottom trial
-        all_f, all_phi = np.concatenate((f, tf, b_f)), np.concatenate((phi, tphi, b_phi))
-        cand = np.concatenate((won + n, bottom_rows))
-        c_f, c_phi = all_f[cand], all_phi[cand]
+        trial_x, trial_f, trial_g, trial_h, trial_phi, trial_fp, trial_crp = (
+            np.concatenate(pair) for pair in zip(top, bottom))
+        cand = np.concatenate((winner * t + top_idx, bottom_rows))
+        c_f, c_phi = trial_f[cand], trial_phi[cand]
         decided = _objective_decided(comparator, phi, c_phi, eps)
         accept = np.where(decided, c_f <= f, c_phi <= phi)
 
@@ -271,63 +285,44 @@ def run(problem, config, *, force_win_strategy=None):
         # replacement, before any replacement is applied
         delta = np.where(decided, np.abs(f - c_f), np.abs(phi - c_phi))
         c_strategy = np.concatenate((winner, picks))
-        c_fp = np.concatenate((top_f[won], b_f_param))
-        c_crp = np.concatenate((top_cr[won], b_cr_param))
         for s, chosen in enumerate(accept & (c_strategy == strategy_ids)):
-            memory.record_success(s, c_fp[chosen], c_crp[chosen], delta[chosen])
+            rows = cand[chosen]
+            memory.record_success(s, trial_fp[rows], trial_crp[rows], delta[chosen])
             memory.update_memory(s)
 
         # each member keeps its row or takes its candidate's, sorted
-        # feasibility-first
-        kept = np.where(accept, cand, member_rows)
+        # feasibility-first; rows below n are the members
+        all_f, all_phi = np.concatenate((f, trial_f)), np.concatenate((phi, trial_phi))
+        kept = np.where(accept, cand + n, member_rows)
         kept = kept[sf_order(all_f[kept], all_phi[kept])]
         f, phi = all_f[kept], all_phi[kept]
-        pop = np.concatenate((pop, tx, bx))[kept]
+        pop = np.concatenate((pop, trial_x))[kept]
 
         pop_min_f = float(f.min())
         if sf_better_mask(phi[0], f[0], best.phi, best.f):
             # every kept member is no better than last generation's row 0,
             # hence than the incumbent, so a new incumbent is a trial
             r = kept[0] - n
-            best = _member(pop[0], f[0], phi[0], np.concatenate((tg, b_g))[r],
-                           np.concatenate((th, b_h))[r])
+            best = _member(pop[0], f[0], phi[0], trial_g[r], trial_h[r])
 
-        rate = math.nan
         if cfg.algorithm == "pps-de":
-            rate = tracker.update_rate(generation, pop_min_f)
+            trace.rate[generation] = tracker.update_rate(generation, pop_min_f)
             if tracker.should_switch():
                 pull_start = generation + 1
-
-        rows.append((best.f, best.phi, comparator, eps, sr, pop_min_f, feasible_ratio,
-                     wins, np.bincount(picks, minlength=3), rate))
+        trace.best_f[generation], trace.best_phi[generation] = best.f, best.phi
+        trace.phase[generation], trace.eps[generation] = comparator, eps
+        trace.sr[generation], trace.pop_min_f[generation] = sr, pop_min_f
+        trace.feasible_ratio[generation] = feasible_ratio
+        trace.wins[generation] = wins
+        trace.bottom_strategies[generation] = np.bincount(picks, minlength=3)
 
     return RunResult(
         best=best,
-        trace=_pack_trace(rows, n + gen_cost * np.arange(1, n_gen + 1)),
+        trace=trace,
         final_fes=n + gen_cost * n_gen,
         generations=n_gen,
         switch_generation=tracker.switch_generation,
         wall_time=time.perf_counter() - started,
         config=cfg,
         problem_name=problem.name or "problem",
-    )
-
-
-def _pack_trace(rows, fes):
-    """Stack one row per generation into a RunTrace; no rows give empty columns."""
-    best_f, best_phi, phase, eps, sr, pop_min_f, feasible_ratio, wins, bottom, rate = (
-        [row[j] for row in rows] for j in range(10))
-    return RunTrace(
-        generation=np.arange(len(fes)),
-        fes=fes,
-        best_f=np.array(best_f, dtype=float),
-        best_phi=np.array(best_phi, dtype=float),
-        phase=np.array(phase, dtype=str),
-        eps=np.array(eps, dtype=float),
-        sr=np.array(sr, dtype=float).reshape(-1, 3),
-        pop_min_f=np.array(pop_min_f, dtype=float),
-        feasible_ratio=np.array(feasible_ratio, dtype=float),
-        wins=np.array(wins, dtype=int).reshape(-1, 3),
-        bottom_strategies=np.array(bottom, dtype=int).reshape(-1, 3),
-        rate=np.array(rate, dtype=float),
     )

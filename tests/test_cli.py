@@ -122,6 +122,32 @@ class TestParseArgs:
         assert exc.value.code == 2
         assert "must be an integer" in capsys.readouterr().err
 
+    def test_non_numeric_setting_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("problem = P1\nsigma = abc\n")
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["run", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "config key 'sigma' must be a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, config", [
+        (["--problem", "P1", "--problem", "p1"], ""),
+        (["--problem", "P1", "--problem", "P1-sphere-shifted"], ""),
+        (["--problem", "P1", "--dim", "4", "--dim", "4"], ""),
+        (["--problem", "P1", "--algo", "sf-de", "--algo", "sf-de"], ""),
+        ([], "problem = P2, p2\n"),
+        ([], "problem = P1\ndim = 3, 5, 3\n"),
+        ([], "problem = P1\nalgo = eps-de, pps-de, eps-de\n"),
+    ], ids=["problem", "problem-full-name", "dim", "algo",
+            "file-problem", "file-dim", "file-algo"])
+    def test_repeated_cell_exits_2(self, tmp_path, capsys, argv, config):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["run", "--config", str(cfg), "--runs", "1", *argv])
+        assert exc.value.code == 2
+        assert "may be given only once" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_parses_flat_keys(self, tmp_path):

@@ -235,7 +235,7 @@ class TestStrategyStats:
             np.testing.assert_array_equal(stats.success_rates(generation), rates)
 
     def test_record_validation(self):
-        stats = StrategyStats()
+        stats = StrategyStats(window=25)
         with pytest.raises(ValueError):
             stats.record_generation([1, 2])
         with pytest.raises(ValueError):

@@ -39,6 +39,12 @@ class TestResolve:
         prob = make_suite_problem("P1", 10)
         cfg = _resolve(prob, RunConfig(n_pop=30, top_size=12, max_fes=999))
         assert (cfg.n_pop, cfg.top_size, cfg.max_fes) == (30, 12, 999)
+        # integral floats, as a config file may give them, resolve to ints
+        cfg = _resolve(prob, RunConfig(n_pop=30.0, top_size=12.0, max_fes=1e5,
+                                       learning_period=4.0))
+        resolved = (cfg.n_pop, cfg.top_size, cfg.max_fes, cfg.learning_period)
+        assert resolved == (30, 12, 100000, 4)
+        assert all(type(v) is int for v in resolved)
 
     def test_validation(self):
         prob = make_suite_problem("P1", 4)
@@ -60,6 +66,7 @@ class TestResolve:
 
     @pytest.mark.parametrize("bad", [
         {"eps_initial": -1.0}, {"sigma": math.nan}, {"n_pop": 3},
+        {"learning_period": 2.5}, {"n_pop": 10.5},
     ], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
     def test_invalid_config_rejected_before_the_first_evaluation(self, bad):
         prob = make_suite_problem("P2", 4)
@@ -147,6 +154,11 @@ class TestBudgetAccounting:
             assert len(getattr(res.trace, field.name)) == gens, field.name
         for column in (res.trace.sr, res.trace.wins, res.trace.bottom_strategies):
             assert column.shape == (gens, 3)
+        kinds = {field.name: getattr(res.trace, field.name).dtype.kind
+                 for field in dataclasses.fields(res.trace)}
+        expected = dict.fromkeys(kinds, "f")
+        expected.update(generation="i", fes="i", wins="i", bottom_strategies="i", phase="U")
+        assert kinds == expected
 
     def test_partial_generation_never_starts(self):
         res = small_run(pid="P1", dim=5, max_fes=25 + 5 * 49 - 1)
@@ -294,7 +306,6 @@ class TestBaselines:
 
 class TestForcedWins:
     def test_forced_strategy_dominates_selection(self):
-        res = small_run(pid="P2", dim=3, max_fes=3000, seed=15, learning_period=4)
         prob = make_suite_problem("P2", 3)
         res = run(prob, RunConfig(seed=15, max_fes=3000, learning_period=4),
                   force_win_strategy=1)
