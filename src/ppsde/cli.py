@@ -17,7 +17,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,17 +203,13 @@ def _trace_name(problem_id, dim, algo, run_index):
 def write_trace_csv(result, path):
     """Write one run's convergence trace with round-trip float precision."""
     tr = result.trace
+    # one conversion per column to Python ints, floats and strings; the csv
+    # module writes a float as str(), which is its shortest round-trip repr
+    columns = (tr.generation, tr.fes, tr.best_f, tr.best_phi, tr.phase, tr.eps, *tr.sr.T)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
-        for i in range(len(tr.generation)):
-            writer.writerow([
-                int(tr.generation[i]), int(tr.fes[i]),
-                repr(float(tr.best_f[i])), repr(float(tr.best_phi[i])),
-                str(tr.phase[i]), repr(float(tr.eps[i])),
-                repr(float(tr.sr[i, 0])), repr(float(tr.sr[i, 1])),
-                repr(float(tr.sr[i, 2])),
-            ])
+        writer.writerows(zip(*(column.tolist() for column in columns)))
 
 
 def read_trace_csv(path):
@@ -257,7 +252,8 @@ def execute(spec):
         for pid, dim in spec.problems:
             problem = make_suite_problem(pid, dim)
             for algo in spec.algorithms:
-                _resolve(problem, RunConfig(algorithm=algo, **spec.overrides))
+                _resolve(problem, RunConfig(algorithm=algo, seed=spec.base_seed,
+                                            **spec.overrides))
         os.makedirs(spec.out_dir, exist_ok=True)
         jobs = [
             (pid, dim, algo, i, spec.base_seed + i, spec.overrides, spec.out_dir)
@@ -266,6 +262,9 @@ def execute(spec):
             for i in range(spec.runs)
         ]
         if spec.workers > 1:
+            # imported here, since a serial batch needs no process pool
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=spec.workers) as pool:
                 outcomes = list(pool.map(_run_job, jobs))
         else:
@@ -344,3 +343,7 @@ def execute(spec):
 def main(argv=None):
     spec = parse_args(sys.argv[1:] if argv is None else argv)
     raise SystemExit(execute(spec))
+
+
+if __name__ == "__main__":
+    main()

@@ -8,8 +8,11 @@ difference, then applies binomial crossover.  The third blends the target
 with a random member using a uniform random coefficient plus one scaled
 difference and uses no crossover at all.  ``make_trials`` builds every row
 of a sub-population in one pass, whatever mix of strategies its rows use:
-it draws each row's distinct indices without rejection and gathers the five
-operand rows of all trials with one index.
+it draws each row's distinct indices without rejection, gathers the five
+operand rows of all trials with one ``np.take``, builds the donors in place
+in that buffer and runs each bound-repair pass only when a coordinate
+leaves the box on that side.  At the paper's sizes its cost is mostly
+numpy's fixed cost per call, so it makes few calls and allocates little.
 
 Each strategy keeps its own circular memories of successful control
 parameters.  New parameters are sampled around a randomly chosen memory
@@ -19,13 +22,15 @@ distribution truncated to [0, 1].  After a generation, memory cells are
 rewritten from the recorded successes using an improvement-weighted Lehmer
 mean for the scale factor and an improvement-weighted arithmetic mean for
 the crossover rate.  Sampling and recording both take whole arrays, so a
-generation needs one call of each per sub-population or strategy.  The
-strategy statistics keep a running total over their window of win counts.
+generation needs one call of each per sub-population or per strategy with
+a success.  The strategy statistics keep a running total over their window
+of win counts.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from collections import deque
 
 import numpy as np
@@ -53,6 +58,7 @@ class Strategy(enum.IntEnum):
 
 
 STRATEGIES = (Strategy.RAND_1_BIN, Strategy.CURRENT_TO_PBEST, Strategy.CURRENT_TO_RAND)
+_STRATEGY_IDS = np.arange(len(STRATEGIES))[:, None]  # compared with a row of strategies
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +79,7 @@ def improvement_weights(deltas):
 
 def _weights(deltas):
     # the one weight rule, for a non-empty array of improvements >= 0
-    total = deltas.sum()
+    total = np.add.reduce(deltas)
     if total == 0.0:
         return np.full(deltas.size, 1.0 / deltas.size)
     return deltas / total
@@ -112,12 +118,12 @@ class ParameterMemory:
 
         f = loc_f + 0.1 * rng.standard_cauchy(size)
         bad = f <= 0.0
-        while bad.any():
-            f[bad] = loc_f[bad] + 0.1 * rng.standard_cauchy(int(bad.sum()))
+        while redraw := np.count_nonzero(bad):
+            f[bad] = loc_f[bad] + 0.1 * rng.standard_cauchy(redraw)
             bad = f <= 0.0
         f = np.minimum(f, 1.0)
 
-        cr = np.clip(loc_cr + 0.1 * rng.standard_normal(size), 0.0, 1.0)
+        cr = (loc_cr + 0.1 * rng.standard_normal(size)).clip(0.0, 1.0)
         return f, cr
 
     def record_success(self, strategy, f, cr, delta):
@@ -150,8 +156,8 @@ class ParameterMemory:
         s_f, s_cr, s_delta = (np.concatenate(c) for c in zip(*records))
         w = _weights(s_delta)
         p = self.pointer[strategy]
-        self.f_memory[strategy, p] = (w * s_f**2).sum() / (w * s_f).sum()
-        self.cr_memory[strategy, p] = (w * s_cr).sum()
+        self.f_memory[strategy, p] = np.add.reduce(w * s_f**2) / np.add.reduce(w * s_f)
+        self.cr_memory[strategy, p] = np.add.reduce(w * s_cr)
         self.pointer[strategy] = (p + 1) % self.length
         records.clear()
 
@@ -205,7 +211,7 @@ class StrategyStats:
 
 def select_strategies(rates, size, rng):
     """Roulette-wheel draw of ``size`` strategy indices from per-strategy rates."""
-    edges = np.cumsum(rates)
+    edges = np.add.accumulate(rates)
     picks = np.searchsorted(edges, rng.random(size), side="right")
     return np.minimum(picks, len(STRATEGIES) - 1)
 
@@ -220,25 +226,35 @@ def pbest_pool_size(n_pop, p_fraction=0.05):
 
 def _repair(candidate, parent, lower, upper):
     # out-of-bounds coordinates move to the midpoint of the violated bound
-    # and the parent, which always lies inside the box
-    out = np.where(candidate < lower, 0.5 * (lower + parent), candidate)
-    return np.where(out > upper, 0.5 * (upper + parent), out)
+    # and the parent, which always lies inside the box; most trial blocks
+    # lie inside it, and those come back as the same array
+    low = candidate < lower
+    if low.any():
+        candidate = np.where(low, 0.5 * (lower + parent), candidate)
+    high = candidate > upper
+    if high.any():
+        candidate = np.where(high, 0.5 * (upper + parent), candidate)
+    return candidate
 
 
 def repair_bounds(candidate, parent, problem):
-    """Midpoint repair of a candidate against the problem's box bounds."""
-    return _repair(np.asarray(candidate, dtype=float), np.asarray(parent, dtype=float),
+    """Midpoint repair of a candidate against the problem's box bounds.
+
+    Always returns a new array, also when the candidate lies inside the box.
+    """
+    return _repair(np.array(candidate, dtype=float), np.asarray(parent, dtype=float),
                    problem.lower, problem.upper)
 
 
-def _three_distinct(targets, n_pop, u):
+def _three_distinct(targets, r0, r1, r2):
     """Three mutually distinct indices per row, none equal to the row's target.
 
-    Index k takes the rank ``floor(u[:, k] * (n_pop - 1 - k))`` among the
-    indices still free and steps over the taken ones in ascending order, so
-    no draw is ever rejected.
+    ``r0``, ``r1`` and ``r2`` hold each row's ranks, rank k in
+    ``[0, n_pop - 1 - k)``.  Index k takes rank k among the indices still
+    free: each rank steps over the taken ones in ascending order, so no
+    draw is ever rejected.  The rank arrays are updated in place and
+    returned.
     """
-    r0, r1, r2 = (u * (n_pop - 1, n_pop - 2, n_pop - 3)).astype(np.intp).T
     r0 += r0 >= targets
     lo, hi = np.minimum(targets, r0), np.maximum(targets, r0)
     r1 += r1 >= lo
@@ -246,6 +262,15 @@ def _three_distinct(targets, n_pop, u):
     for taken in (np.minimum(lo, r1), np.maximum(lo, np.minimum(hi, r1)), np.maximum(hi, r1)):
         r2 += r2 >= taken
     return r0, r1, r2
+
+
+@functools.lru_cache(maxsize=16)
+def _draw_scales(n_pop, pool_size, dim):
+    # the number of choices of r0, r1, r2, the elite member and the forced
+    # crossover coordinate; read-only because every call shares it
+    scales = np.array((n_pop - 1, n_pop - 2, n_pop - 3, pool_size, dim), dtype=float)
+    scales.flags.writeable = False
+    return scales
 
 
 def make_trials(pop, targets, strategies, f, cr, pool_size, lower, upper, rng):
@@ -262,26 +287,35 @@ def make_trials(pop, targets, strategies, f, cr, pool_size, lower, upper, rng):
     strategies only, and midpoint repair follows.  Integer draws are floors
     of uniform doubles, so each of k choices has probability 1/k to within
     2**-52.
+
+    The five operand row sets are gathered with one ``np.take`` into a fresh
+    buffer, and the donor is built in place in the ``x_a`` rows of that
+    buffer, in the order of the formula above, so no temporary is
+    allocated for it.
     """
     targets = np.asarray(targets)
     m = len(targets)
     n, d = pop.shape
     u = rng.random((m, 5))
-    r0, r1, r2 = _three_distinct(targets, n, u[:, :3])
-    elite, j_rand = (u[:, 3:] * (pool_size, d)).astype(np.intp).T
+    r0, r1, r2, elite, j_rand = (u * _draw_scales(n, pool_size, d)).astype(np.intp).T
+    _three_distinct(targets, r0, r1, r2)
 
-    # one row mask per strategy, in Strategy order
-    rand_1, pbest, cur_rand = strategies == np.arange(len(STRATEGIES))[:, None]
+    rand_1, pbest, cur_rand = strategies == _STRATEGY_IDS
     base = np.where(rand_1, r0, targets)
     coef = np.where(rand_1, 0.0, np.where(pbest, f, rng.random(m)))
     rows = np.concatenate((base, np.where(pbest, elite, r0), r1, r2, targets))
-    x_b, x_a, x_r1, x_r2, x = pop[rows].reshape(5, m, d)
-    donor = x_b + coef[:, None] * (x_a - x_b) + f[:, None] * (x_r1 - x_r2)
+    x_b, x_a, x_r1, x_r2, x = np.take(pop, rows, axis=0).reshape(5, m, d)
+    x_a -= x_b
+    x_a *= coef[:, None]
+    x_a += x_b
+    x_r1 -= x_r2
+    x_r1 *= f[:, None]
+    x_a += x_r1
 
     mask = rng.random((m, d)) < cr[:, None]
     mask[np.arange(m), j_rand] = True
     mask |= cur_rand[:, None]
-    return _repair(np.where(mask, donor, x), x, lower, upper)
+    return _repair(np.where(mask, x_a, x), x, lower, upper)
 
 
 def rand_1_bin_batch(pop, targets, f, cr, lower, upper, rng):

@@ -151,9 +151,9 @@ def overall_violation(g_values, h_values, sigma):
     """
     g_values = np.asarray(g_values, dtype=float)
     h_values = np.asarray(h_values, dtype=float)
-    total = np.maximum(g_values, 0.0).sum(axis=-1)
+    total = np.add.reduce(np.maximum(g_values, 0.0), axis=-1)
     if h_values.shape[-1]:
-        total = total + np.maximum(np.abs(h_values) - sigma, 0.0).sum(axis=-1)
+        total = total + np.add.reduce(np.maximum(np.abs(h_values) - sigma, 0.0), axis=-1)
     return total
 
 
@@ -203,7 +203,9 @@ def evaluate_many(problem, xs):
         for j, fn in enumerate(fns):
             block[:, j] = column(fn)
 
-    if not (np.isfinite(f).all() and np.isfinite(g).all() and np.isfinite(h).all()):
+    # an empty constraint block is finite without a test
+    if not (np.isfinite(f).all() and (not g.size or np.isfinite(g).all())
+            and (not h.size or np.isfinite(h).all())):
         _raise_nonfinite(f, g, h)
     return f, g, h, overall_violation(g, h, problem.sigma)
 

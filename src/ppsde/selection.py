@@ -83,8 +83,8 @@ def sf_order(f, phi):
     """
     f = np.asarray(f)
     phi = np.asarray(phi)
-    infeasible = (phi > 0.0).astype(int)
-    key = np.where(infeasible.astype(bool), phi, f)
+    infeasible = phi > 0.0
+    key = np.where(infeasible, phi, f)
     # least-significant key first; lexsort is stable, so ties keep their original order
     return np.lexsort((key, infeasible))
 

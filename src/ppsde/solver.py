@@ -8,13 +8,20 @@ is kept and its strategy credited with a win.  Every bottom member generates
 a single trial with a strategy drawn from the windowed win rates.  One
 offspring step serves both parts: it samples the control parameters, builds
 the trials and evaluates them, first for the top targets and then for the
-bottom ones, and the two results form one trial block per generation.  All
+bottom ones.  The members and the two trial sets then form one block of
+rows per generation, from which the replacement gathers.  All
 replacements are one-to-one under the phase rule: constraint-blind while
 pushing, violation-relaxed while pulling.  Successful control parameters,
 weighted by how much they improved the deciding criterion, are folded into
-the per-strategy memories at the end of the generation.  The population is
+the per-strategy memories at the end of the generation; a strategy without
+a success that generation keeps its memory untouched.  The population is
 then sorted once, and its first row is the only candidate for the
-incumbent.
+incumbent, decided on Python floats.
+
+At the paper's sizes a generation costs mostly numpy's fixed cost per
+call, so the loop keeps the calls per generation few: the best top trial
+is tracked with running values instead of gathered again, and the memory
+calls are skipped for a strategy without a success.
 
 A run makes exactly ``(max_fes - N) // (3T + N - T)`` generations for a
 population of N with a top part of T; a partial generation never starts.
@@ -49,7 +56,7 @@ from .de import (  # noqa: F401 - the *_batch names stay bound for perfbench/tra
 )
 from .phases import PULL, PUSH, EpsilonSchedule, PhaseTracker
 from .problems import Evaluation, Individual, evaluate_many
-from .selection import (  # noqa: F401 - sf_best_index, *_accept_mask kept for perfbench/tracing.py
+from .selection import (  # noqa: F401 - the names perfbench/tracing.py wraps stay bound
     pull_accept_mask,
     push_accept_mask,
     sf_accept_mask,
@@ -139,8 +146,11 @@ def _resolve(problem, config):
     t = config.top_size if config.top_size is not None else n // 2
     fes = config.max_fes if config.max_fes is not None else 20000 * problem.dim
     period = config.learning_period
+    seed = config.seed
     # every check is written so that NaN fails it; a float such as 1e5 passes the first
     checks = (
+        (seed is not None and seed >= 0 and seed % 1 == 0,
+         "seed must be a non-negative whole number"),
         (all(v % 1 == 0 for v in (n, t, fes, period)),
          "population, top size, budget and learning period must be whole numbers"),
         (n >= 4, "population size must be >= 4"),
@@ -153,7 +163,7 @@ def _resolve(problem, config):
     for ok, message in checks:
         if not ok:
             raise ValueError(message)
-    return replace(config, n_pop=int(n), top_size=int(t), max_fes=int(fes),
+    return replace(config, seed=int(seed), n_pop=int(n), top_size=int(t), max_fes=int(fes),
                    learning_period=int(period))
 
 
@@ -176,6 +186,16 @@ def _strictly_better(mode, phi_new, f_new, phi_old, f_old, eps):
     # acceptance old -> new and not new -> old
     return np.where(_objective_decided(mode, phi_old, phi_new, eps),
                     f_new < f_old, phi_new < phi_old)
+
+
+def _sf_better(phi_a, f_a, phi_b, f_b):
+    # sf_better_mask for two points given as Python floats
+    a_feasible, b_feasible = phi_a == 0.0, phi_b == 0.0
+    if a_feasible and b_feasible:
+        return f_a < f_b
+    if a_feasible != b_feasible:
+        return a_feasible
+    return phi_a < phi_b
 
 
 def _member(x, f, phi, g, h):
@@ -225,7 +245,10 @@ def run(problem, config, *, force_win_strategy=None):
     top_strategies = np.repeat(strategy_ids, t)  # strategy-major
     bottom_idx = np.arange(t, n)
     member_rows = np.arange(n)
-    bottom_rows = np.arange(3 * t, gen_cost)  # the bottom trials' rows of the trial block
+    # rows of the generation's block: the n members, the 3t top trials
+    # (strategy-major), then the bottom trials
+    top_rows = top_idx + n
+    bottom_rows = np.arange(n + 3 * t, n + gen_cost)
 
     def offspring(pop, targets, strategies):
         """One trial per target with freshly sampled F/CR: x, f, g, h, phi, F, CR."""
@@ -254,30 +277,34 @@ def run(problem, config, *, force_win_strategy=None):
         else:
             comparator, eps = PUSH, math.inf
 
-        top = offspring(pop, top_targets, top_strategies)
-        tf3, tphi3 = top[1].reshape(3, t), top[4].reshape(3, t)
+        top_x, top_f, top_g, top_h, top_phi, top_fp, top_crp = offspring(
+            pop, top_targets, top_strategies)
+        tf3, tphi3 = top_f.reshape(3, t), top_phi.reshape(3, t)
         if force_win_strategy is not None:
             winner = np.full(t, int(force_win_strategy))
         else:
-            winner = np.zeros(t, dtype=int)
-            for c in (1, 2):
-                better = _strictly_better(comparator, tphi3[c], tf3[c],
-                                          tphi3[winner, top_idx], tf3[winner, top_idx], eps)
-                winner = np.where(better, c, winner)
+            # strategy 1 must beat strategy 0, and strategy 2 the better of
+            # those two, so a tie stays with the earlier strategy
+            better = _strictly_better(comparator, tphi3[1], tf3[1], tphi3[0], tf3[0], eps)
+            winner = better.astype(int)
+            lead_f = np.where(better, tf3[1], tf3[0])
+            lead_phi = np.where(better, tphi3[1], tphi3[0])
+            winner[_strictly_better(comparator, tphi3[2], tf3[2], lead_phi, lead_f, eps)] = 2
 
         wins = np.bincount(winner, minlength=3)
         stats.record_generation(wins)
         sr = stats.success_rates(generation)
 
         picks = select_strategies(sr, n_bottom, rng)
-        bottom = offspring(pop, bottom_idx, picks)
+        bot_x, bot_f, bot_g, bot_h, bot_phi, bot_fp, bot_crp = offspring(pop, bottom_idx, picks)
 
-        # the trial block: the top trials, strategy-major, then the bottom
-        # trials; a member's candidate is its best top trial or its bottom trial
-        trial_x, trial_f, trial_g, trial_h, trial_phi, trial_fp, trial_crp = (
-            np.concatenate(pair) for pair in zip(top, bottom))
-        cand = np.concatenate((winner * t + top_idx, bottom_rows))
-        c_f, c_phi = trial_f[cand], trial_phi[cand]
+        # a member's candidate is its best top trial or its bottom trial
+        block_x = np.concatenate((pop, top_x, bot_x))
+        block_f = np.concatenate((f, top_f, bot_f))
+        block_phi = np.concatenate((phi, top_phi, bot_phi))
+        trial_fp, trial_crp = np.concatenate((top_fp, bot_fp)), np.concatenate((top_crp, bot_crp))
+        cand = np.concatenate((winner * t + top_rows, bottom_rows))
+        c_f, c_phi = block_f[cand], block_phi[cand]
         decided = _objective_decided(comparator, phi, c_phi, eps)
         accept = np.where(decided, c_f <= f, c_phi <= phi)
 
@@ -286,24 +313,23 @@ def run(problem, config, *, force_win_strategy=None):
         delta = np.where(decided, np.abs(f - c_f), np.abs(phi - c_phi))
         c_strategy = np.concatenate((winner, picks))
         for s, chosen in enumerate(accept & (c_strategy == strategy_ids)):
-            rows = cand[chosen]
-            memory.record_success(s, trial_fp[rows], trial_crp[rows], delta[chosen])
-            memory.update_memory(s)
+            if chosen.any():  # no success leaves the memory as it is
+                rows = cand[chosen] - n
+                memory.record_success(s, trial_fp[rows], trial_crp[rows], delta[chosen])
+                memory.update_memory(s)
 
-        # each member keeps its row or takes its candidate's, sorted
-        # feasibility-first; rows below n are the members
-        all_f, all_phi = np.concatenate((f, trial_f)), np.concatenate((phi, trial_phi))
-        kept = np.where(accept, cand + n, member_rows)
-        kept = kept[sf_order(all_f[kept], all_phi[kept])]
-        f, phi = all_f[kept], all_phi[kept]
-        pop = np.concatenate((pop, trial_x))[kept]
+        # each member keeps its row or takes its candidate's, sorted feasibility-first
+        kept = np.where(accept, cand, member_rows)
+        kept = kept[sf_order(block_f[kept], block_phi[kept])]
+        f, phi, pop = block_f[kept], block_phi[kept], block_x[kept]
 
         pop_min_f = float(f.min())
-        if sf_better_mask(phi[0], f[0], best.phi, best.f):
+        if _sf_better(float(phi[0]), float(f[0]), best.phi, best.f):
             # every kept member is no better than last generation's row 0,
             # hence than the incumbent, so a new incumbent is a trial
             r = kept[0] - n
-            best = _member(pop[0], f[0], phi[0], trial_g[r], trial_h[r])
+            best = _member(pop[0], f[0], phi[0], np.concatenate((top_g, bot_g))[r],
+                           np.concatenate((top_h, bot_h))[r])
 
         if cfg.algorithm == "pps-de":
             trace.rate[generation] = tracker.update_rate(generation, pop_min_f)

@@ -54,3 +54,10 @@ def test_friedman_aligned_loads_scipy_special_only():
     loaded = _loaded_modules_after("import ppsde; ppsde.friedman_aligned([[1, 2], [3, 5]])")
     assert "scipy.special" in loaded
     assert "scipy.stats" not in loaded
+
+
+def test_cli_import_loads_no_process_pool():
+    # only a batch with more than one worker needs the pool machinery
+    loaded = _loaded_modules_after("import ppsde.cli")
+    assert "concurrent.futures" not in loaded
+    assert "multiprocessing" not in loaded

@@ -1,10 +1,18 @@
+import csv
+import dataclasses
 import json
+import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ppsde
 from ppsde.cli import (
+    TRACE_COLUMNS,
     ExperimentSpec,
     execute,
     load_config_file,
@@ -184,6 +192,34 @@ class TestTraceCsv:
         for j in range(3):
             np.testing.assert_array_equal(back[f"sr{j + 1}"], res.trace.sr[:, j])
 
+    def test_bytes_equal_a_per_element_writer(self, tmp_path):
+        """The column-wise writer prints what formatting each element does."""
+        res = run(make_suite_problem("P2", 2), RunConfig(seed=0, **FAST))
+        n = len(res.trace.generation)
+        assert n >= 3
+        edge = [math.inf, math.nan, -0.0, 0.0, 1e-300, -2.5e17, 0.1]
+        column = np.resize(edge, n)
+        trace = dataclasses.replace(
+            res.trace, best_f=column, best_phi=column[::-1].copy(),
+            eps=np.roll(column, 1), phase=np.resize(np.array(["push", "pull", "sf"]), n),
+            sr=np.column_stack((column, np.roll(column, 2), np.full(n, 1.0 / 3.0))))
+        result = dataclasses.replace(res, trace=trace)
+        path, reference = tmp_path / "trace.csv", tmp_path / "reference.csv"
+        write_trace_csv(result, str(path))
+        with open(reference, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(TRACE_COLUMNS)
+            for i in range(n):
+                writer.writerow([
+                    int(trace.generation[i]), int(trace.fes[i]),
+                    repr(float(trace.best_f[i])), repr(float(trace.best_phi[i])),
+                    str(trace.phase[i]), repr(float(trace.eps[i])),
+                    *(repr(float(trace.sr[i, j])) for j in range(3)),
+                ])
+        assert path.read_bytes() == reference.read_bytes()
+        text = path.read_text()
+        assert all(token in text for token in ("inf", "nan", "-0.0", "push", "pull", "sf"))
+
     def test_header_check(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
@@ -277,6 +313,12 @@ class TestExecute:
         assert execute(spec) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_seed_fails_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert execute(fast_spec(out, base_seed=-1)) == 1
+        assert "error: seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_invalid_for_a_later_cell_fails_before_any_output(self, tmp_path, capsys):
         # a top part of 20 fits the D=10 population of 50 but not the D=2
         # population of 10
@@ -296,3 +338,27 @@ class TestExecute:
             main(argv)
         assert exc.value.code == 0
         assert (out / "summary.json").exists()
+
+
+def _python_m(module, args, cwd):
+    """Run ``python -m module args`` on this checkout's package."""
+    src = str(Path(ppsde.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", module, *args], cwd=cwd, capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+
+
+@pytest.mark.parametrize("module", ["ppsde", "ppsde.cli"])
+class TestModuleEntryPoints:
+    def test_tiny_batch_writes_summary(self, module, tmp_path):
+        out = tmp_path / "out"
+        done = _python_m(module, ["run", "--problem", "P1", "--dim", "2", "--runs", "1",
+                                  "--max-fes", "100", "--out", str(out)], tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert (out / "summary.json").exists()
+        assert "wrote 1 traces" in done.stdout
+
+    def test_unknown_flag_exits_2(self, module, tmp_path):
+        done = _python_m(module, ["run", "--problem", "P1", "--no-such-flag"], tmp_path)
+        assert done.returncode == 2
+        assert "unrecognized arguments" in done.stderr

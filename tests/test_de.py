@@ -10,6 +10,7 @@ from ppsde.de import (
     StrategyStats,
     current_to_pbest_batch,
     current_to_rand_batch,
+    _repair,
     _three_distinct,
     improvement_weights,
     make_trials,
@@ -283,6 +284,56 @@ class TestRepair:
             np.testing.assert_array_equal(out[inside], candidate[inside])
 
 
+def _repair_reference(candidate, parent, lower, upper):
+    # both passes always run; the kernel skips a pass with nothing to move
+    out = np.where(candidate < lower, 0.5 * (lower + parent), candidate)
+    return np.where(out > upper, 0.5 * (upper + parent), out)
+
+
+@st.composite
+def repair_cases(draw):
+    """Parents inside a box and candidates inside, on or outside it, per row."""
+    m, d = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    lower = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=d, max_size=d)))
+    width = np.array(draw(st.lists(st.floats(1e-3, 20.0), min_size=d, max_size=d)))
+    upper = lower + width
+    share = st.floats(0.0, 1.0)
+    unit = np.array(draw(st.lists(share, min_size=m * d, max_size=m * d))).reshape(m, d)
+    parent = np.minimum(lower + width * unit, upper)
+    # each row's candidate scale: 0 stays inside the box, larger ones leave it
+    reach = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, 3.0]), min_size=m, max_size=m)))
+    spread = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=m * d, max_size=m * d)))
+    candidate = parent + reach[:, None] * width * spread.reshape(m, d)
+    edges = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, d - 1),
+                                    st.booleans()), max_size=4))
+    for i, j, at_lower in edges:
+        candidate[i, j] = lower[j] if at_lower else upper[j]
+    return candidate, parent, lower, upper
+
+
+class TestRepairKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(repair_cases())
+    def test_equals_two_pass_reference_bit_for_bit(self, case):
+        candidate, parent, lower, upper = case
+        expected = _repair_reference(candidate, parent, lower, upper)
+        got = _repair(candidate.copy(), parent, lower, upper)
+        assert got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(repair_cases())
+    def test_repair_bounds_returns_a_new_array(self, case):
+        candidate, parent, lower, upper = case
+        prob = Problem(dim=len(lower), lower=lower, upper=upper,
+                       objective=lambda xs: xs.sum(axis=-1))
+        before = candidate.copy()
+        for row in range(len(candidate)):
+            given_row = candidate[row]
+            out = repair_bounds(given_row, parent[row], prob)
+            assert out is not given_row and not np.shares_memory(out, candidate)
+        np.testing.assert_array_equal(candidate, before)
+
+
 class TestTrialGeneration:
     def rand_pop(self, rng, n=12, d=6):
         return rng.uniform(-5, 5, (n, d))
@@ -375,7 +426,8 @@ class TestMakeTrials:
         unit = st.sampled_from([0.0, np.nextafter(1.0, 0.0)]) | st.floats(0.0, 1.0,
                                                                            exclude_max=True)
         u = np.array(data.draw(st.lists(st.tuples(unit, unit, unit), min_size=m, max_size=m)))
-        r = np.stack(_three_distinct(targets, n, u), axis=1)
+        ranks = (u * (n - 1, n - 2, n - 3)).astype(np.intp).T
+        r = np.stack(_three_distinct(targets, *ranks), axis=1)
         assert np.all((r >= 0) & (r < n))
         taken = np.column_stack((targets, r))
         assert all(len(set(row)) == 4 for row in taken.tolist())

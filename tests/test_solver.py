@@ -16,7 +16,13 @@ from ppsde.selection import (
     sf_better_mask,
 )
 from ppsde.solver import ALGORITHMS, RunConfig, run
-from ppsde.solver import _SF_MODE, _objective_decided, _resolve, _strictly_better
+from ppsde.solver import (
+    _SF_MODE,
+    _objective_decided,
+    _resolve,
+    _sf_better,
+    _strictly_better,
+)
 
 from conftest import F, PHI
 
@@ -40,10 +46,10 @@ class TestResolve:
         cfg = _resolve(prob, RunConfig(n_pop=30, top_size=12, max_fes=999))
         assert (cfg.n_pop, cfg.top_size, cfg.max_fes) == (30, 12, 999)
         # integral floats, as a config file may give them, resolve to ints
-        cfg = _resolve(prob, RunConfig(n_pop=30.0, top_size=12.0, max_fes=1e5,
+        cfg = _resolve(prob, RunConfig(seed=7.0, n_pop=30.0, top_size=12.0, max_fes=1e5,
                                        learning_period=4.0))
-        resolved = (cfg.n_pop, cfg.top_size, cfg.max_fes, cfg.learning_period)
-        assert resolved == (30, 12, 100000, 4)
+        resolved = (cfg.seed, cfg.n_pop, cfg.top_size, cfg.max_fes, cfg.learning_period)
+        assert resolved == (7, 30, 12, 100000, 4)
         assert all(type(v) is int for v in resolved)
 
     def test_validation(self):
@@ -67,6 +73,7 @@ class TestResolve:
     @pytest.mark.parametrize("bad", [
         {"eps_initial": -1.0}, {"sigma": math.nan}, {"n_pop": 3},
         {"learning_period": 2.5}, {"n_pop": 10.5},
+        {"seed": -1}, {"seed": 2.5}, {"seed": math.nan}, {"seed": None},
     ], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
     def test_invalid_config_rejected_before_the_first_evaluation(self, bad):
         prob = make_suite_problem("P2", 4)
@@ -78,7 +85,7 @@ class TestResolve:
 
         counting = dataclasses.replace(prob, objective=counted)
         with pytest.raises(ValueError):
-            run(counting, RunConfig(seed=0, max_fes=8000, **bad))
+            run(counting, RunConfig(**{"seed": 0, "max_fes": 8000, **bad}))
         assert calls == []
         run(counting, RunConfig(seed=0, max_fes=200))
         assert calls
@@ -129,6 +136,16 @@ class TestBestSoFar:
 
     def test_strictly_better_candidate_replaces(self):
         assert sf_better_mask(0.0, 1.5, 0.0, 2.0)
+
+    @settings(max_examples=500, deadline=None)
+    @given(phi_a=PHI, f_a=F, phi_b=PHI, f_b=F, tie=st.booleans())
+    def test_float_rule_equals_the_public_mask(self, phi_a, f_a, phi_b, f_b, tie):
+        # run() decides the incumbent with _sf_better on Python floats
+        if tie:
+            phi_b, f_b = phi_a, f_a
+        expected = sf_better_mask(phi_a, f_a, phi_b, f_b)
+        got = _sf_better(phi_a, f_a, phi_b, f_b)
+        assert type(got) is bool and got == bool(expected)
 
 
 class TestBudgetAccounting:
