@@ -15,16 +15,19 @@ leaves the box on that side.  At the paper's sizes its cost is mostly
 numpy's fixed cost per call, so it makes few calls and allocates little.
 
 Each strategy keeps its own circular memories of successful control
-parameters.  New parameters are sampled around a randomly chosen memory
-cell: the scale factor from a Cauchy distribution (resampled while
-non-positive, clamped to 1 from above) and the crossover rate from a normal
-distribution truncated to [0, 1].  After a generation, memory cells are
-rewritten from the recorded successes using an improvement-weighted Lehmer
-mean for the scale factor and an improvement-weighted arithmetic mean for
-the crossover rate.  Sampling and recording both take whole arrays, so a
-generation needs one call of each per sub-population or per strategy with
-a success.  The strategy statistics keep a running total over their window
-of win counts.
+parameters.  New parameters are sampled around a uniformly chosen memory
+cell, drawn as the floor of a uniform double: the scale factor from a
+Cauchy distribution (resampled while non-positive, clamped to 1 from above)
+and the crossover rate from a normal distribution truncated to [0, 1].
+After a generation, memory cells are rewritten from the successes using an
+improvement-weighted Lehmer mean for the scale factor and an
+improvement-weighted arithmetic mean for the crossover rate.  One keyed
+fold does this for every strategy at once: the successes of all strategies
+come as aligned arrays with a strategy key, and ``np.bincount`` over the
+key gives each strategy's sums.  ``bincount`` adds each key's entries in
+input order, so a strategy's new cells are sequential sums over its own
+successes and do not depend on the entries of any other key.  The
+strategy statistics keep a running total over their window of win counts.
 """
 
 from __future__ import annotations
@@ -68,21 +71,28 @@ def improvement_weights(deltas):
     """Normalized weights proportional to per-success improvements.
 
     All-zero improvements fall back to uniform weights so ties still count.
+    These are the weights the keyed fold gives one success set.
     """
     deltas = np.asarray(deltas, dtype=float)
     if deltas.size == 0:
         raise ValueError("no improvements to weight")
     if np.any(deltas < 0):
         raise ValueError("improvements must be >= 0")
-    return _weights(deltas)
+    return _keyed_weights(np.zeros(deltas.size, dtype=np.intp), deltas, 1)[0]
 
 
-def _weights(deltas):
-    # the one weight rule, for a non-empty array of improvements >= 0
-    total = np.add.reduce(deltas)
-    if total == 0.0:
-        return np.full(deltas.size, 1.0 / deltas.size)
-    return deltas / total
+def _keyed_weights(keys, deltas, n_keys):
+    """Each entry's improvement weight within its key's set, and the set sizes.
+
+    The one weight rule: ``delta / total`` over the key's set, or ``1 / size``
+    where the set's total is zero.  Every division has a non-zero
+    denominator, because only keys that occur are looked up.
+    """
+    count = np.bincount(keys, minlength=n_keys)
+    total = np.bincount(keys, weights=deltas, minlength=n_keys)
+    uniform = total == 0.0
+    w = np.where(uniform[keys], 1.0, deltas) / np.where(uniform, count, total)[keys]
+    return w, count
 
 
 class ParameterMemory:
@@ -107,12 +117,14 @@ class ParameterMemory:
         """Sample ``size`` (F, CR) pairs, one strategy or one per row.
 
         ``strategy`` is a single strategy or an array of ``size`` strategies.
-        Each pair uses one randomly chosen memory cell of its strategy.  F is
-        Cauchy around the cell with spread 0.1, redrawn while <= 0 and
-        clamped to 1 from above, so F is always in (0, 1].  CR is normal
-        around the cell with spread 0.1, truncated into [0, 1].
+        Each pair uses one memory cell of its strategy, the floor of a
+        uniform double times the memory length, so each cell has probability
+        1/length to within 2**-52.  F is Cauchy around the cell with spread
+        0.1, redrawn while <= 0 and clamped to 1 from above, so F is always
+        in (0, 1].  CR is normal around the cell with spread 0.1, truncated
+        into [0, 1].
         """
-        cells = rng.integers(0, self.length, size=size)
+        cells = (rng.random(size) * self.length).astype(np.intp)
         loc_f = self.f_memory[strategy, cells]
         loc_cr = self.cr_memory[strategy, cells]
 
@@ -125,6 +137,35 @@ class ParameterMemory:
 
         cr = (loc_cr + 0.1 * rng.standard_normal(size)).clip(0.0, 1.0)
         return f, cr
+
+    def fold_successes(self, strategies, f, cr, delta):
+        """Fold one generation's successes of every strategy into the memories.
+
+        ``strategies``, ``f``, ``cr`` and ``delta`` are aligned 1-D arrays,
+        one entry per success in any interleaving of strategies.  Each
+        strategy with at least one success gets its cell at its pointer
+        rewritten, the F cell with the weighted Lehmer mean
+        ``sum(w F F) / sum(w F)`` and the CR cell with the weighted mean
+        ``sum(w CR)``, and its pointer advances.  Weights follow
+        ``improvement_weights`` within each strategy's set, and every sum
+        runs over that set in input order.  A strategy without a success
+        keeps its cells and pointer.
+        """
+        if not np.shape(strategies) == np.shape(f) == np.shape(cr) == np.shape(delta):
+            raise ValueError("successes must be aligned")
+        if (delta < 0).any():
+            raise ValueError("improvement must be >= 0")
+        n = len(STRATEGIES)
+        w, count = _keyed_weights(strategies, delta, n)
+        wf = w * f
+        lehmer_num = np.bincount(strategies, weights=wf * f, minlength=n)
+        lehmer_den = np.bincount(strategies, weights=wf, minlength=n)
+        cr_mean = np.bincount(strategies, weights=w * cr, minlength=n)
+        present = np.flatnonzero(count)
+        p = self.pointer[present]
+        self.f_memory[present, p] = lehmer_num[present] / lehmer_den[present]
+        self.cr_memory[present, p] = cr_mean[present]
+        self.pointer[present] = (p + 1) % self.length
 
     def record_success(self, strategy, f, cr, delta):
         """Record the control parameters of replacements that actually happened.
@@ -143,23 +184,19 @@ class ParameterMemory:
             self._successes[strategy].append((f, cr, delta))
 
     def update_memory(self, strategy):
-        """Fold this generation's successes into the strategy's memories.
+        """Fold the strategy's recorded successes into its memories.
 
-        A non-empty success set rewrites the cells at the strategy's
-        pointer: the F cell with the weighted Lehmer mean, the CR cell with
-        the weighted arithmetic mean, and the pointer advances.  The success
-        set is always cleared.
+        The records are concatenated in order and go through
+        ``fold_successes``, so a non-empty set rewrites the cells at the
+        strategy's pointer and advances it.  The success set is always
+        cleared.
         """
         records = self._successes[strategy]
         if not records:
             return
         s_f, s_cr, s_delta = (np.concatenate(c) for c in zip(*records))
-        w = _weights(s_delta)
-        p = self.pointer[strategy]
-        self.f_memory[strategy, p] = np.add.reduce(w * s_f**2) / np.add.reduce(w * s_f)
-        self.cr_memory[strategy, p] = np.add.reduce(w * s_cr)
-        self.pointer[strategy] = (p + 1) % self.length
         records.clear()
+        self.fold_successes(np.full(s_f.size, strategy), s_f, s_cr, s_delta)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +323,9 @@ def make_trials(pop, targets, strategies, f, cr, pool_size, lower, upper, rng):
     crossover with one guaranteed donor coordinate applies to the first two
     strategies only, and midpoint repair follows.  Integer draws are floors
     of uniform doubles, so each of k choices has probability 1/k to within
-    2**-52.
+    2**-52.  For m targets in d dimensions, every uniform double of the call
+    comes from one block of ``m * (6 + d)``: five index draws per row, then
+    the current-to-rand coefficients, then the crossover mask.
 
     The five operand row sets are gathered with one ``np.take`` into a fresh
     buffer, and the donor is built in place in the ``x_a`` rows of that
@@ -296,13 +335,14 @@ def make_trials(pop, targets, strategies, f, cr, pool_size, lower, upper, rng):
     targets = np.asarray(targets)
     m = len(targets)
     n, d = pop.shape
-    u = rng.random((m, 5))
-    r0, r1, r2, elite, j_rand = (u * _draw_scales(n, pool_size, d)).astype(np.intp).T
+    u = rng.random(m * (6 + d))
+    r0, r1, r2, elite, j_rand = (u[:5 * m].reshape(m, 5)
+                                 * _draw_scales(n, pool_size, d)).astype(np.intp).T
     _three_distinct(targets, r0, r1, r2)
 
     rand_1, pbest, cur_rand = strategies == _STRATEGY_IDS
     base = np.where(rand_1, r0, targets)
-    coef = np.where(rand_1, 0.0, np.where(pbest, f, rng.random(m)))
+    coef = np.where(rand_1, 0.0, np.where(pbest, f, u[5 * m:6 * m]))
     rows = np.concatenate((base, np.where(pbest, elite, r0), r1, r2, targets))
     x_b, x_a, x_r1, x_r2, x = np.take(pop, rows, axis=0).reshape(5, m, d)
     x_a -= x_b
@@ -312,7 +352,7 @@ def make_trials(pop, targets, strategies, f, cr, pool_size, lower, upper, rng):
     x_r1 *= f[:, None]
     x_a += x_r1
 
-    mask = rng.random((m, d)) < cr[:, None]
+    mask = u[6 * m:].reshape(m, d) < cr[:, None]
     mask[np.arange(m), j_rand] = True
     mask |= cur_rand[:, None]
     return _repair(np.where(mask, x_a, x), x, lower, upper)

@@ -4,24 +4,39 @@ One generation proceeds as follows.  The population, kept sorted
 feasibility-first, is split into a top and a bottom part.  Every top member
 generates three trials, one per strategy with independently sampled control
 parameters; the best of the three under the current phase's comparison rule
-is kept and its strategy credited with a win.  Every bottom member generates
-a single trial with a strategy drawn from the windowed win rates.  One
-offspring step serves both parts: it samples the control parameters, builds
-the trials and evaluates them, first for the top targets and then for the
-bottom ones.  The members and the two trial sets then form one block of
-rows per generation, from which the replacement gathers.  All
+is kept, the earliest strategy on a tie, and its strategy is credited with a
+win only when that trial is strictly better than both others.  Every bottom
+member generates a single trial with a strategy drawn from the windowed win
+rates.  One offspring step serves both parts: it samples the control
+parameters, builds the trials and evaluates them, first for the top targets
+and then for the bottom ones.  The members and the two trial sets then form
+one block of rows per generation, from which the replacement gathers.  All
 replacements are one-to-one under the phase rule: constraint-blind while
 pushing, violation-relaxed while pulling.  Successful control parameters,
 weighted by how much they improved the deciding criterion, are folded into
-the per-strategy memories at the end of the generation; a strategy without
-a success that generation keeps its memory untouched.  The population is
-then sorted once, and its first row is the only candidate for the
-incumbent, decided on Python floats.
+the per-strategy memories at the end of the generation, all strategies in
+one keyed fold; a strategy without a success that generation keeps its
+memory untouched.  The population is then sorted once, and its first row is
+the only candidate for the incumbent, decided on Python floats.
+
+Every phase rule is a lexicographic order on a key of (violation, objective):
+``(where(phi <= eps, 0, phi), f)`` while pushing (eps is infinite) and
+pulling, and ``(phi, where(phi == 0, f, 0))`` feasibility-first.  One
+stable sort of each top target's three trial keys gives the race's winner
+and tells whether it is the unique best.
+
+The tie rule follows the strategy adaptation the paper takes from CoDE: a
+strategy's rate is its share of the top races it won, a measure of which
+strategy currently makes the better trials.  When the best trials tie, as
+they often do once the population has converged and trials coincide in
+objective and violation, no strategy made the better trial.  Crediting one
+of them anyway (the first, by position) would be a signal from the order
+of the strategies alone, and over a converged run it drives the rates to
+(1, 0, 0).  So a race whose best trials tie credits no strategy; the
+replacement still takes the earliest tied trial.
 
 At the paper's sizes a generation costs mostly numpy's fixed cost per
-call, so the loop keeps the calls per generation few: the best top trial
-is tracked with running values instead of gathered again, and the memory
-calls are skipped for a strategy without a success.
+call, so the loop keeps the calls per generation few.
 
 A run makes exactly ``(max_fes - N) // (3T + N - T)`` generations for a
 population of N with a top part of T; a partial generation never starts.
@@ -30,9 +45,10 @@ The phase state is one number, the generation at which pulling starts: 0
 for ``eps-de``; for ``pps-de`` it is set once, to the generation after the
 population's minimum objective stagnates over a learning period.  At the
 top of that generation the relaxation schedule is seeded from the
-population's violations; it then decays to zero.  ``sf-de`` never pulls
-and compares feasibility-first for the whole run.  All three share the
-identical loop.
+population's violations; it then decays, and it is zero from
+``_EPS_CUTOFF_FRACTION`` of the run's generation count after pulling starts.
+``sf-de`` never pulls and compares feasibility-first for the whole run.  All
+three share the identical loop.
 """
 
 from __future__ import annotations
@@ -76,7 +92,7 @@ __all__ = [
 ALGORITHMS = ("pps-de", "sf-de", "eps-de")
 
 _SF_MODE = "sf"
-_EPS_CUTOFF_FRACTION = 0.9  # eps is 0 from this share of max_fes / (2N) generations on
+_EPS_CUTOFF_FRACTION = 0.9  # eps is 0 from this share of the run's generations on
 
 
 @dataclass(frozen=True)
@@ -182,10 +198,32 @@ def _objective_decided(mode, phi_a, phi_b, eps):
     return (phi_a == 0.0) & (phi_b == 0.0)
 
 
-def _strictly_better(mode, phi_new, f_new, phi_old, f_old, eps):
-    # acceptance old -> new and not new -> old
-    return np.where(_objective_decided(mode, phi_old, phi_new, eps),
-                    f_new < f_old, phi_new < phi_old)
+def _race_keys(mode, phi, f, eps):
+    """(major, minor) keys whose lexicographic order is the mode's rule.
+
+    A point is strictly better than another exactly where its key is
+    lexicographically smaller, and the two tie where the keys are equal.
+    Push mode compares at ``eps = inf``, as ``run`` sets it.
+    """
+    if mode == _SF_MODE:
+        return phi, np.where(phi == 0.0, f, 0.0)
+    return np.where(phi <= eps, 0.0, phi), f
+
+
+def _top_race(mode, phi, f, eps):
+    """Each top target's winning strategy and whether it won outright.
+
+    ``phi`` and ``f`` are (3, T) blocks with one row per strategy.  The
+    winner is the best trial under the mode's rule, the earliest strategy
+    on a tie, since the sort is stable.  It won outright where its key is
+    below the runner-up's, that is, where it is strictly better than both
+    other trials.
+    """
+    major, minor = _race_keys(mode, phi, f, eps)
+    ranked = np.lexsort((minor, major), axis=0)
+    first_two = ranked[:2] * phi.shape[1] + np.arange(phi.shape[1])
+    lead_major, lead_minor = major.take(first_two), minor.take(first_two)
+    return ranked[0], (lead_major[0] != lead_major[1]) | (lead_minor[0] != lead_minor[1])
 
 
 def _sf_better(phi_a, f_a, phi_b, f_b):
@@ -223,7 +261,7 @@ def run(problem, config, *, force_win_strategy=None):
     gen_cost = 3 * t + n_bottom
     n_gen = (cfg.max_fes - n) // gen_cost
     lower, upper = problem.lower, problem.upper
-    cutoff = _EPS_CUTOFF_FRACTION * (cfg.max_fes / (2.0 * n))
+    cutoff = _EPS_CUTOFF_FRACTION * n_gen
 
     pop = rng.uniform(lower, upper, size=(n, d))
     f, g, h, phi = evaluate_many(problem, pop)
@@ -241,8 +279,7 @@ def run(problem, config, *, force_win_strategy=None):
     pool = pbest_pool_size(n)
     top_idx = np.arange(t)
     top_targets = np.tile(top_idx, 3)
-    strategy_ids = np.arange(len(STRATEGIES))[:, None]
-    top_strategies = np.repeat(strategy_ids, t)  # strategy-major
+    top_strategies = np.repeat(np.arange(len(STRATEGIES)), t)  # strategy-major
     bottom_idx = np.arange(t, n)
     member_rows = np.arange(n)
     # rows of the generation's block: the n members, the 3t top trials
@@ -279,19 +316,14 @@ def run(problem, config, *, force_win_strategy=None):
 
         top_x, top_f, top_g, top_h, top_phi, top_fp, top_crp = offspring(
             pop, top_targets, top_strategies)
-        tf3, tphi3 = top_f.reshape(3, t), top_phi.reshape(3, t)
         if force_win_strategy is not None:
             winner = np.full(t, int(force_win_strategy))
+            wins = np.bincount(winner, minlength=3)
         else:
-            # strategy 1 must beat strategy 0, and strategy 2 the better of
-            # those two, so a tie stays with the earlier strategy
-            better = _strictly_better(comparator, tphi3[1], tf3[1], tphi3[0], tf3[0], eps)
-            winner = better.astype(int)
-            lead_f = np.where(better, tf3[1], tf3[0])
-            lead_phi = np.where(better, tphi3[1], tphi3[0])
-            winner[_strictly_better(comparator, tphi3[2], tf3[2], lead_phi, lead_f, eps)] = 2
-
-        wins = np.bincount(winner, minlength=3)
+            # a race whose best trials tie credits no strategy
+            winner, outright = _top_race(comparator, top_phi.reshape(3, t),
+                                         top_f.reshape(3, t), eps)
+            wins = np.bincount(winner[outright], minlength=3)
         stats.record_generation(wins)
         sr = stats.success_rates(generation)
 
@@ -311,12 +343,9 @@ def run(problem, config, *, force_win_strategy=None):
         # improvements are measured against the criterion that decided the
         # replacement, before any replacement is applied
         delta = np.where(decided, np.abs(f - c_f), np.abs(phi - c_phi))
-        c_strategy = np.concatenate((winner, picks))
-        for s, chosen in enumerate(accept & (c_strategy == strategy_ids)):
-            if chosen.any():  # no success leaves the memory as it is
-                rows = cand[chosen] - n
-                memory.record_success(s, trial_fp[rows], trial_crp[rows], delta[chosen])
-                memory.update_memory(s)
+        rows = cand[accept] - n
+        memory.fold_successes(np.concatenate((winner, picks))[accept], trial_fp[rows],
+                              trial_crp[rows], delta[accept])
 
         # each member keeps its row or takes its candidate's, sorted feasibility-first
         kept = np.where(accept, cand, member_rows)

@@ -191,6 +191,98 @@ class TestParameterMemory:
             assert np.all(cr >= 0.0) and np.all(cr <= 1.0)
 
 
+def _fold_reference(memory, strategies, f, cr, delta):
+    """Plain-Python fold: per strategy, sequential sums in input order."""
+    for s in range(len(STRATEGIES)):
+        rows = [i for i in range(len(strategies)) if strategies[i] == s]
+        if not rows:
+            continue
+        total = 0.0
+        for i in rows:
+            total += delta[i]
+        w = {i: (1.0 / len(rows) if total == 0.0 else delta[i] / total) for i in rows}
+        num = den = mean_cr = 0.0
+        for i in rows:
+            num += w[i] * f[i] * f[i]
+            den += w[i] * f[i]
+            mean_cr += w[i] * cr[i]
+        p = memory.pointer[s]
+        memory.f_memory[s, p] = num / den
+        memory.cr_memory[s, p] = mean_cr
+        memory.pointer[s] = (p + 1) % memory.length
+
+
+@st.composite
+def success_sets(draw, max_size=40):
+    """Aligned successes of all strategies in any interleaving, zero-delta sets included."""
+    size = draw(st.integers(0, max_size))
+    keys = draw(st.lists(st.sampled_from([0, 1, 2]), min_size=size, max_size=size))
+    f = draw(st.lists(st.floats(0.01, 1.0), min_size=size, max_size=size))
+    cr = draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size))
+    delta = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1e3)
+    deltas = draw(st.lists(delta, min_size=size, max_size=size))
+    for s in draw(st.sets(st.sampled_from([0, 1, 2]))):
+        deltas = [0.0 if k == s else d for k, d in zip(keys, deltas)]
+    return (np.array(keys, dtype=np.intp), np.array(f, dtype=float), np.array(cr, dtype=float),
+            np.array(deltas, dtype=float))
+
+
+def _memory_state(memory):
+    return tuple(getattr(memory, name).tobytes() for name in ("f_memory", "cr_memory", "pointer"))
+
+
+class TestKeyedFold:
+    @settings(max_examples=200, deadline=None)
+    @given(generations=st.lists(success_sets(), min_size=1, max_size=3))
+    def test_equals_the_per_strategy_loop_bit_for_bit(self, generations):
+        folded, reference = ParameterMemory(length=2), ParameterMemory(length=2)
+        for keys, f, cr, delta in generations:
+            folded.fold_successes(keys, f, cr, delta)
+            _fold_reference(reference, keys, f, cr, delta)
+        assert _memory_state(folded) == _memory_state(reference)
+
+    @settings(max_examples=200, deadline=None)
+    @given(successes=success_sets(), strategy=st.sampled_from([0, 1, 2]))
+    def test_a_strategy_does_not_depend_on_the_others(self, successes, strategy):
+        keys, f, cr, delta = successes
+        own = keys == strategy
+        everyone, alone = ParameterMemory(length=3), ParameterMemory(length=3)
+        everyone.fold_successes(keys, f, cr, delta)
+        alone.fold_successes(keys[own], f[own], cr[own], delta[own])
+        for name in ("f_memory", "cr_memory", "pointer"):
+            assert (getattr(everyone, name)[strategy].tobytes()
+                    == getattr(alone, name)[strategy].tobytes())
+
+    @settings(max_examples=200, deadline=None)
+    @given(successes=success_sets(), cuts=st.lists(st.integers(0, 40), max_size=4))
+    def test_record_and_update_equal_the_fold(self, successes, cuts):
+        keys, f, cr, delta = successes
+        folded, recorded = ParameterMemory(length=3), ParameterMemory(length=3)
+        folded.fold_successes(keys, f, cr, delta)
+        for part in np.split(np.arange(len(keys)), sorted(set(cuts))):
+            for s in STRATEGIES:
+                mine = part[keys[part] == s]
+                recorded.record_success(s, f[mine], cr[mine], delta[mine])
+        for s in STRATEGIES:
+            recorded.update_memory(s)
+        assert _memory_state(folded) == _memory_state(recorded)
+
+    def test_empty_fold_changes_nothing(self):
+        mem = ParameterMemory(length=3)
+        empty = np.array([])
+        mem.fold_successes(np.array([], dtype=np.intp), empty, empty, empty)
+        assert _memory_state(mem) == _memory_state(ParameterMemory(length=3))
+
+    def test_rejects_negative_and_misaligned_successes(self):
+        mem = ParameterMemory()
+        keys, ones = np.array([0, 1]), np.ones(2)
+        with pytest.raises(ValueError):
+            mem.fold_successes(keys, ones, ones, np.array([1.0, -1e-9]))
+        with pytest.raises(ValueError):
+            mem.fold_successes(keys, ones, np.ones(3), ones)
+        assert _memory_state(mem) == _memory_state(ParameterMemory())
+
+
 class TestStrategyStats:
     def test_uniform_during_warmup(self):
         stats = StrategyStats(window=3)

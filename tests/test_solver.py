@@ -19,12 +19,13 @@ from ppsde.solver import ALGORITHMS, RunConfig, run
 from ppsde.solver import (
     _SF_MODE,
     _objective_decided,
+    _race_keys,
     _resolve,
     _sf_better,
-    _strictly_better,
+    _top_race,
 )
 
-from conftest import F, PHI
+from conftest import F, PHI, random_pairs
 
 
 def small_run(algorithm="pps-de", pid="P2", dim=3, seed=0, **kw):
@@ -98,16 +99,33 @@ PUBLIC_ACCEPT = {
 }
 
 
+def _strictly_better(mode, phi_new, f_new, phi_old, f_old, eps):
+    # the reference: acceptance old -> new and not new -> old, built as
+    # run() builds acceptance from _objective_decided
+    return np.where(_objective_decided(mode, phi_old, phi_new, eps),
+                    f_new < f_old, phi_new < phi_old)
+
+
+def _key_less(mode, phi_a, f_a, phi_b, f_b, eps):
+    major_a, minor_a = _race_keys(mode, phi_a, f_a, eps)
+    major_b, minor_b = _race_keys(mode, phi_b, f_b, eps)
+    return (major_a < major_b) | ((major_a == major_b) & (minor_a < minor_b))
+
+
+EPS = st.sampled_from([0.0, math.inf, 0.5, 1.0]) | st.floats(0.0, 10.0)
+
+
 class TestStrictlyBetter:
     @settings(max_examples=300, deadline=None)
     @given(pairs=st.lists(st.tuples(PHI, F, PHI, F), min_size=1, max_size=20),
-           eps=st.sampled_from([0.0, math.inf, 0.5, 1.0]) | st.floats(0.0, 10.0),
-           mode=st.sampled_from(sorted(PUBLIC_ACCEPT)))
+           eps=EPS, mode=st.sampled_from(sorted(PUBLIC_ACCEPT)))
     def test_merged_pull_comparison_equals_two_way_acceptance(self, pairs, eps, mode):
         """Every mode: the solver's acceptance, built as run() builds it from
-        ``_objective_decided``, equals the public mask, and strictly-better is
-        acceptance one way and not the other."""
+        ``_objective_decided``, equals the public mask, strictly-better is
+        acceptance one way and not the other, and strictly-better is a
+        smaller key under ``_race_keys``."""
         phi_new, f_new, phi_old, f_old = (np.array(col) for col in zip(*pairs))
+        key_eps = math.inf if mode == PUSH else eps  # run() pushes at eps = inf
 
         def accept(phi_p, f_p, phi_t, f_t):
             decided = _objective_decided(mode, phi_p, phi_t, eps)
@@ -119,8 +137,68 @@ class TestStrictlyBetter:
                     & ~accept(phi_new, f_new, phi_old, f_old))
         got = _strictly_better(mode, phi_new, f_new, phi_old, f_old, eps)
         np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(
+            _key_less(mode, phi_new, f_new, phi_old, f_old, key_eps), expected)
         if mode == _SF_MODE:
             np.testing.assert_array_equal(got, sf_better_mask(phi_new, f_new, phi_old, f_old))
+
+    @pytest.mark.parametrize("mode", [PUSH, PULL, _SF_MODE])
+    def test_key_order_equals_strictly_better_on_random_pairs(self, mode):
+        rng = np.random.default_rng(24)
+        phi_a, f_a = random_pairs(rng, 5000)
+        phi_b, f_b = random_pairs(rng, 5000)
+        # copy some points so that exact ties occur
+        tied = rng.random(5000) < 0.2
+        phi_b[tied], f_b[tied] = phi_a[tied], f_a[tied]
+        eps = math.inf if mode == PUSH else 0.5
+        for a, b in (((phi_a, f_a), (phi_b, f_b)), ((phi_b, f_b), (phi_a, f_a))):
+            np.testing.assert_array_equal(_key_less(mode, *a, *b, eps),
+                                          _strictly_better(mode, *a, *b, eps))
+
+
+def _race_reference(mode, phi, f, eps):
+    # per target: the earliest trial that no other trial beats, credited
+    # when it beats both others
+    winners, outright = [], []
+    for col in range(phi.shape[1]):
+        def better(j, k):
+            return bool(_strictly_better(mode, phi[j, col], f[j, col], phi[k, col], f[k, col],
+                                         eps))
+        best = next(j for j in range(3) if not any(better(k, j) for k in range(3) if k != j))
+        winners.append(best)
+        outright.append(all(better(best, k) for k in range(3) if k != best))
+    return np.array(winners), np.array(outright)
+
+
+class TestTopRace:
+    @settings(max_examples=300, deadline=None)
+    @given(triples=st.lists(st.lists(st.tuples(PHI, F), min_size=3, max_size=3),
+                            min_size=1, max_size=12),
+           eps=EPS, mode=st.sampled_from([PUSH, PULL, _SF_MODE]), copies=st.data())
+    def test_winner_and_credit_equal_the_pairwise_reference(self, triples, eps, mode, copies):
+        """On tie-rich (phi, f) triples: the winner is the earliest best trial
+        and it is credited only when strictly better than both others."""
+        if mode == PUSH:
+            eps = math.inf
+        block = np.array(triples, dtype=float).transpose(2, 1, 0)  # (phi|f, strategy, target)
+        # copy trials within a target so that two- and three-way ties occur
+        for col in range(block.shape[2]):
+            src, dst = copies.draw(st.tuples(st.integers(0, 2), st.integers(0, 2)))
+            if copies.draw(st.booleans()):
+                block[:, dst, col] = block[:, src, col]
+        phi, f = block
+        winner, outright = _top_race(mode, phi, f, eps)
+        expected_winner, expected_outright = _race_reference(mode, phi, f, eps)
+        np.testing.assert_array_equal(winner, expected_winner)
+        np.testing.assert_array_equal(outright, expected_outright)
+
+    def test_ties_take_the_earliest_trial_and_credit_none(self):
+        # a three-way tie with both signed zeros, and a tie of the last two
+        phi, f = np.zeros((3, 2)), np.array([[0.0, 2.0], [-0.0, 1.0], [0.0, 1.0]])
+        for mode, eps in ((PUSH, math.inf), (PULL, 0.0), (_SF_MODE, math.nan)):
+            winner, outright = _top_race(mode, phi, f, eps)
+            np.testing.assert_array_equal(winner, [0, 1])
+            np.testing.assert_array_equal(outright, [False, False])
 
 
 class TestBestSoFar:
@@ -233,9 +311,12 @@ class TestRunInvariants:
         assert np.all(res.trace.eps[pull_rows] >= 0.0)
 
     def test_win_and_pick_counts_account_for_everyone(self):
+        # a top race whose best trials tie credits no strategy, so the wins
+        # of a generation are at most the top size
         res = small_run(pid="P2", dim=3, max_fes=2000, seed=4)
         t = res.config.top_size
-        assert np.all(res.trace.wins.sum(axis=1) == t)
+        assert np.all(res.trace.wins.sum(axis=1) <= t)
+        assert res.trace.wins[0].sum() == t
         assert np.all(res.trace.bottom_strategies.sum(axis=1) == res.config.n_pop - t)
         np.testing.assert_allclose(res.trace.sr.sum(axis=1), 1.0, atol=1e-12)
 
@@ -279,7 +360,7 @@ class TestRunInvariants:
     def test_top_only_population(self):
         res = small_run(pid="P2", dim=3, n_pop=8, top_size=8, max_fes=500, seed=11)
         assert res.generations > 0
-        assert np.all(res.trace.wins.sum(axis=1) == 8)
+        assert np.all(res.trace.wins.sum(axis=1) <= 8)
         assert np.all(res.trace.bottom_strategies == 0)
         np.testing.assert_array_equal(res.trace.fes, 8 + 24 * np.arange(1, res.generations + 1))
 
@@ -304,6 +385,15 @@ class TestBaselines:
         assert res.generations > 90
         assert np.all(res.trace.eps[90:] == 0.0)
         assert res.trace.eps[0] > 0.0
+
+    def test_eps_cutoff_is_a_share_of_the_generations(self):
+        # 8 members all in the top part cost 24 evaluations a generation, so
+        # 2408 evaluations make 100 generations and the cutoff is 0.9 * 100
+        res = small_run(algorithm="eps-de", pid="P2", dim=3, n_pop=8, top_size=8,
+                        max_fes=2408, seed=0)
+        assert res.generations == 100
+        assert np.all(res.trace.eps[90:] == 0.0)
+        assert np.all(res.trace.eps[:90] > 0.0)
 
     def test_eps_de_at_zero_level_equals_sf_de(self):
         # at relaxation zero the relaxed rule differs from feasibility-first
