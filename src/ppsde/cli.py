@@ -42,6 +42,8 @@ TRACE_COLUMNS = ("generation", "fes", "best_f", "best_phi", "phase", "eps_k",
 _OVERRIDE_FIELDS = tuple(
     f.name for f in dataclasses.fields(RunConfig) if f.name not in ("algorithm", "seed")
 )
+# config file keys named after a flag that sets a RunConfig field
+_FLAG_KEYS = {"pop": "n_pop", "top": "top_size"}
 
 
 @dataclass
@@ -83,8 +85,13 @@ def build_parser():
 
 
 def load_config_file(path):
-    """Parse a flat ``key = value`` file; '#' starts a comment."""
-    values = {}
+    """Parse a flat ``key = value`` file; '#' starts a comment.
+
+    Keys are normalised: '-' becomes '_', and ``pop`` and ``top`` become the
+    settings they set, ``n_pop`` and ``top_size``.  A key that repeats after
+    that raises ValueError naming the file and line.
+    """
+    values, lines = {}, {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -93,7 +100,12 @@ def load_config_file(path):
             key, sep, val = line.partition("=")
             if not sep or not key.strip():
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            values[key.strip().replace("-", "_")] = val.strip()
+            name = key.strip().replace("-", "_")
+            name = _FLAG_KEYS.get(name, name)
+            if name in values:
+                raise ValueError(f"{path}:{lineno}: {key.strip()!r} repeats the setting "
+                                 f"{name!r} of line {lines[name]}")
+            values[name], lines[name] = val.strip(), lineno
     return values
 
 
@@ -172,10 +184,9 @@ def parse_args(argv):
 
     overrides = {}
     for key, raw in file_values.items():
-        name = {"pop": "n_pop", "top": "top_size"}.get(key, key)
-        if name not in _OVERRIDE_FIELDS:
+        if key not in _OVERRIDE_FIELDS:
             parser.error(f"unknown config key {key!r}")
-        overrides[name] = file_number(key, raw)
+        overrides[key] = file_number(key, raw)
     if ns.max_fes is not None:
         overrides["max_fes"] = ns.max_fes
     if ns.pop is not None:
@@ -213,13 +224,23 @@ def write_trace_csv(result, path):
 
 
 def read_trace_csv(path):
-    """Read a trace CSV back into a dict of numpy arrays."""
+    """Read a trace CSV back into a dict of numpy arrays.
+
+    A file that is not a whole trace, such as an empty or truncated one,
+    raises ValueError.
+    """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != TRACE_COLUMNS:
-            raise ValueError(f"unexpected trace header in {path}")
-        rows = list(reader)
+        try:
+            if tuple(next(reader, ())) != TRACE_COLUMNS:
+                raise ValueError(f"unexpected trace header in {path}")
+            rows = list(reader)
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
+    for lineno, row in enumerate(rows, 2):
+        if len(row) != len(TRACE_COLUMNS):
+            raise ValueError(f"{path}:{lineno}: expected {len(TRACE_COLUMNS)} fields, "
+                             f"got {len(row)}")
     out = {}
     for j, name in enumerate(TRACE_COLUMNS):
         col = [row[j] for row in rows]

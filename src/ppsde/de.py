@@ -76,7 +76,7 @@ def improvement_weights(deltas):
     deltas = np.asarray(deltas, dtype=float)
     if deltas.size == 0:
         raise ValueError("no improvements to weight")
-    if np.any(deltas < 0):
+    if not (deltas >= 0).all():  # written so that NaN fails it
         raise ValueError("improvements must be >= 0")
     return _keyed_weights(np.zeros(deltas.size, dtype=np.intp), deltas, 1)[0]
 
@@ -153,7 +153,7 @@ class ParameterMemory:
         """
         if not np.shape(strategies) == np.shape(f) == np.shape(cr) == np.shape(delta):
             raise ValueError("successes must be aligned")
-        if (delta < 0).any():
+        if not (delta >= 0).all():  # written so that NaN fails it
             raise ValueError("improvement must be >= 0")
         n = len(STRATEGIES)
         w, count = _keyed_weights(strategies, delta, n)
@@ -178,7 +178,7 @@ class ParameterMemory:
         f, cr, delta = (np.array(v, dtype=float, ndmin=1) for v in (f, cr, delta))
         if not f.shape == cr.shape == delta.shape:
             raise ValueError("successes must be aligned")
-        if (delta < 0).any():
+        if not (delta >= 0).all():  # written so that NaN fails it
             raise ValueError("improvement must be >= 0")
         if delta.size:
             self._successes[strategy].append((f, cr, delta))

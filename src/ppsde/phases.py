@@ -14,10 +14,11 @@ from collections import deque
 
 import numpy as np
 
-__all__ = ["EpsilonSchedule", "PhaseTracker", "PULL", "PUSH"]
+__all__ = ["EpsilonSchedule", "PhaseTracker", "PULL", "PUSH", "SF"]
 
 PUSH = "push"
 PULL = "pull"
+SF = "sf"  # the mode of a run that compares feasibility-first throughout
 
 
 class PhaseTracker:

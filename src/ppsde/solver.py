@@ -19,11 +19,14 @@ one keyed fold; a strategy without a success that generation keeps its
 memory untouched.  The population is then sorted once, and its first row is
 the only candidate for the incumbent, decided on Python floats.
 
-Every phase rule is a lexicographic order on a key of (violation, objective):
-``(where(phi <= eps, 0, phi), f)`` while pushing (eps is infinite) and
-pulling, and ``(phi, where(phi == 0, f, 0))`` feasibility-first.  One
-stable sort of each top target's three trial keys gives the race's winner
-and tells whether it is the unique best.
+Every phase rule is a lexicographic order on a (violation, objective) key,
+and ``selection`` states both keys: ``eps_key`` while pushing (at an
+infinite eps) and pulling, ``sf_key`` feasibility-first.  Each generation
+picks one key function and decides with it alone.  One stable sort of each
+top target's three trial keys gives the race's winner and tells whether it
+is the unique best.  A candidate replaces its member where its key is at
+most the member's, and the improvement is measured on the minor keys where
+the major keys tie and on the violations otherwise.
 
 The tie rule follows the strategy adaptation the paper takes from CoDE: a
 strategy's rate is its share of the top races it won, a measure of which
@@ -56,6 +59,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -70,14 +74,18 @@ from .de import (  # noqa: F401 - the *_batch names stay bound for perfbench/tra
     rand_1_bin_batch,
     select_strategies,
 )
-from .phases import PULL, PUSH, EpsilonSchedule, PhaseTracker
+from .phases import PULL, PUSH, SF, EpsilonSchedule, PhaseTracker
 from .problems import Evaluation, Individual, evaluate_many
 from .selection import (  # noqa: F401 - the names perfbench/tracing.py wraps stay bound
+    eps_key,
+    key_less_equal,
     pull_accept_mask,
     push_accept_mask,
     sf_accept_mask,
     sf_best_index,
+    sf_better,
     sf_better_mask,
+    sf_key,
     sf_order,
 )
 
@@ -91,7 +99,6 @@ __all__ = [
 
 ALGORITHMS = ("pps-de", "sf-de", "eps-de")
 
-_SF_MODE = "sf"
 _EPS_CUTOFF_FRACTION = 0.9  # eps is 0 from this share of the run's generations on
 
 
@@ -183,57 +190,32 @@ def _resolve(problem, config):
                    learning_period=int(period))
 
 
-def _objective_decided(mode, phi_a, phi_b, eps):
-    """Mask D, true where the mode's rule compares two points by objective.
-
-    Every rule is lexicographic: the objective decides where D holds and the
-    violation decides everywhere else, so a trial replaces a parent where
-    ``where(D, f_trial <= f_parent, phi_trial <= phi_parent)``.  D is
-    symmetric in the two points.
-    """
-    if mode == PUSH:
-        return np.ones(np.shape(phi_b), dtype=bool)
-    if mode == PULL:
-        return ((phi_b <= eps) & (phi_a <= eps)) | (phi_b == phi_a)
-    return (phi_a == 0.0) & (phi_b == 0.0)
-
-
-def _race_keys(mode, phi, f, eps):
-    """(major, minor) keys whose lexicographic order is the mode's rule.
-
-    A point is strictly better than another exactly where its key is
-    lexicographically smaller, and the two tie where the keys are equal.
-    Push mode compares at ``eps = inf``, as ``run`` sets it.
-    """
-    if mode == _SF_MODE:
-        return phi, np.where(phi == 0.0, f, 0.0)
-    return np.where(phi <= eps, 0.0, phi), f
-
-
-def _top_race(mode, phi, f, eps):
+def _top_race(major, minor):
     """Each top target's winning strategy and whether it won outright.
 
-    ``phi`` and ``f`` are (3, T) blocks with one row per strategy.  The
-    winner is the best trial under the mode's rule, the earliest strategy
-    on a tie, since the sort is stable.  It won outright where its key is
-    below the runner-up's, that is, where it is strictly better than both
-    other trials.
+    ``major`` and ``minor`` are the (3, T) keys of the top trials, one row
+    per strategy.  The winner is the trial with the smallest key, the
+    earliest strategy on a tie, since the sort is stable.  It won outright
+    where its key is below the runner-up's, that is, where it is strictly
+    better than both other trials.
     """
-    major, minor = _race_keys(mode, phi, f, eps)
     ranked = np.lexsort((minor, major), axis=0)
-    first_two = ranked[:2] * phi.shape[1] + np.arange(phi.shape[1])
+    first_two = ranked[:2] * major.shape[1] + np.arange(major.shape[1])
     lead_major, lead_minor = major.take(first_two), minor.take(first_two)
     return ranked[0], (lead_major[0] != lead_major[1]) | (lead_minor[0] != lead_minor[1])
 
 
-def _sf_better(phi_a, f_a, phi_b, f_b):
-    # sf_better_mask for two points given as Python floats
-    a_feasible, b_feasible = phi_a == 0.0, phi_b == 0.0
-    if a_feasible and b_feasible:
-        return f_a < f_b
-    if a_feasible != b_feasible:
-        return a_feasible
-    return phi_a < phi_b
+def _acceptance(parent_key, cand_key, parent_phi, cand_phi):
+    """Where each candidate replaces its parent, and its improvement δ.
+
+    A candidate replaces where its key is at most the parent's.  δ is
+    measured against the criterion that decided the replacement: the minor
+    keys where the major keys tie, the violations otherwise.
+    """
+    (p_major, p_minor), (c_major, c_minor) = parent_key, cand_key
+    delta = np.where(p_major == c_major, np.abs(p_minor - c_minor),
+                     np.abs(parent_phi - cand_phi))
+    return key_less_equal(cand_key, parent_key), delta
 
 
 def _member(x, f, phi, g, h):
@@ -308,11 +290,12 @@ def run(problem, config, *, force_win_strategy=None):
             schedule = EpsilonSchedule.from_violations(phi, cutoff=cutoff,
                                                        eps_initial=cfg.eps_initial)
         if cfg.algorithm == "sf-de":
-            comparator, eps = _SF_MODE, math.nan
+            mode, eps = SF, math.nan
         elif pull_start is not None:
-            comparator, eps = PULL, schedule.level(generation - pull_start, feasible_ratio)
+            mode, eps = PULL, schedule.level(generation - pull_start, feasible_ratio)
         else:
-            comparator, eps = PUSH, math.inf
+            mode, eps = PUSH, math.inf
+        key = sf_key if mode == SF else partial(eps_key, eps=eps)
 
         top_x, top_f, top_g, top_h, top_phi, top_fp, top_crp = offspring(
             pop, top_targets, top_strategies)
@@ -321,8 +304,7 @@ def run(problem, config, *, force_win_strategy=None):
             wins = np.bincount(winner, minlength=3)
         else:
             # a race whose best trials tie credits no strategy
-            winner, outright = _top_race(comparator, top_phi.reshape(3, t),
-                                         top_f.reshape(3, t), eps)
+            winner, outright = _top_race(*key(top_phi.reshape(3, t), top_f.reshape(3, t)))
             wins = np.bincount(winner[outright], minlength=3)
         stats.record_generation(wins)
         sr = stats.success_rates(generation)
@@ -336,13 +318,9 @@ def run(problem, config, *, force_win_strategy=None):
         block_phi = np.concatenate((phi, top_phi, bot_phi))
         trial_fp, trial_crp = np.concatenate((top_fp, bot_fp)), np.concatenate((top_crp, bot_crp))
         cand = np.concatenate((winner * t + top_rows, bottom_rows))
-        c_f, c_phi = block_f[cand], block_phi[cand]
-        decided = _objective_decided(comparator, phi, c_phi, eps)
-        accept = np.where(decided, c_f <= f, c_phi <= phi)
-
-        # improvements are measured against the criterion that decided the
-        # replacement, before any replacement is applied
-        delta = np.where(decided, np.abs(f - c_f), np.abs(phi - c_phi))
+        major, minor = key(block_phi, block_f)
+        accept, delta = _acceptance((major[:n], minor[:n]), (major[cand], minor[cand]),
+                                    phi, block_phi[cand])
         rows = cand[accept] - n
         memory.fold_successes(np.concatenate((winner, picks))[accept], trial_fp[rows],
                               trial_crp[rows], delta[accept])
@@ -353,7 +331,7 @@ def run(problem, config, *, force_win_strategy=None):
         f, phi, pop = block_f[kept], block_phi[kept], block_x[kept]
 
         pop_min_f = float(f.min())
-        if _sf_better(float(phi[0]), float(f[0]), best.phi, best.f):
+        if sf_better(float(phi[0]), float(f[0]), best.phi, best.f):
             # every kept member is no better than last generation's row 0,
             # hence than the incumbent, so a new incumbent is a trial
             r = kept[0] - n
@@ -365,7 +343,7 @@ def run(problem, config, *, force_win_strategy=None):
             if tracker.should_switch():
                 pull_start = generation + 1
         trace.best_f[generation], trace.best_phi[generation] = best.f, best.phi
-        trace.phase[generation], trace.eps[generation] = comparator, eps
+        trace.phase[generation], trace.eps[generation] = mode, eps
         trace.sr[generation], trace.pop_min_f[generation] = sr, pop_min_f
         trace.feasible_ratio[generation] = feasible_ratio
         trace.wins[generation] = wins

@@ -101,6 +101,14 @@ class TestParseArgs:
             parse_args(argv)
         assert exc.value.code == 2
 
+    def test_repeated_config_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("problem = P1\nruns = 3\nruns = 5\n")
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["run", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "twice.cfg:3" in capsys.readouterr().err
+
     def test_unknown_config_key_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("problem = P1\nbogus = 3\n")
@@ -175,6 +183,23 @@ class TestConfigFile:
         with pytest.raises(ValueError):
             load_config_file(str(cfg))
 
+    def test_flag_keys_name_their_setting(self, tmp_path):
+        cfg = tmp_path / "d.cfg"
+        cfg.write_text("pop = 12\ntop = 6\nmax-fes = 300\n")
+        assert load_config_file(str(cfg)) == {"n_pop": "12", "top_size": "6", "max_fes": "300"}
+
+    @pytest.mark.parametrize("text, line", [
+        ("runs = 3\nruns = 5\n", 2),
+        ("max-fes = 300\n# a comment\nmax_fes = 400\n", 3),
+        ("n_pop = 12\npop = 14\n", 2),
+        ("problem = P1\ntop = 6\ntop-size = 6\n", 3),
+    ], ids=["same", "dash-underscore", "pop-n_pop", "top-top_size"])
+    def test_rejects_a_repeated_setting(self, tmp_path, text, line):
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text(text)
+        with pytest.raises(ValueError, match=f"e.cfg:{line}: .* repeats the setting"):
+            load_config_file(str(cfg))
+
 
 class TestTraceCsv:
     def test_round_trip_is_exact(self, tmp_path):
@@ -224,6 +249,20 @@ class TestTraceCsv:
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
+            read_trace_csv(str(path))
+
+    @pytest.mark.parametrize("body", [
+        None,
+        "0,58,1.5,0.0,push\n",
+        "0,58,1.5,0.0,push,inf,0.25,0.25,0.5,7\n",
+        "0,58,1.5,0.0,push,inf,0.25,0.25,0.5\n\n",
+        "0,58," + "9" * 200_000 + "\n",
+    ], ids=["empty", "short-row", "long-row", "blank-line", "oversized-field"])
+    def test_a_file_that_is_not_a_whole_trace_raises_value_error(self, tmp_path, body):
+        # a truncated trace must read as a bad file, not crash its reader
+        path = tmp_path / "bad.csv"
+        path.write_text("" if body is None else ",".join(TRACE_COLUMNS) + "\n" + body)
+        with pytest.raises(ValueError, match="bad.csv"):
             read_trace_csv(str(path))
 
 

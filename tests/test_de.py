@@ -46,6 +46,10 @@ class TestImprovementWeights:
         with pytest.raises(ValueError):
             improvement_weights([1.0, -0.1])
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            improvement_weights([np.nan, 1.0])
+
 
 class TestParameterMemory:
     def test_initial_state(self):
@@ -167,6 +171,14 @@ class TestParameterMemory:
         with pytest.raises(ValueError):
             mem.record_success(Strategy.RAND_1_BIN, f=0.5, cr=0.5, delta=-1e-9)
 
+    def test_nan_delta_rejected(self):
+        mem = ParameterMemory()
+        with pytest.raises(ValueError):
+            mem.record_success(Strategy.RAND_1_BIN, f=[0.5, 0.6], cr=[0.5, 0.6],
+                               delta=[np.nan, 1.0])
+        mem.update_memory(Strategy.RAND_1_BIN)
+        assert _memory_state(mem) == _memory_state(ParameterMemory())
+
     def test_lehmer_mean_stays_within_success_range(self):
         rng = np.random.default_rng(12)
         for _ in range(200):
@@ -280,6 +292,14 @@ class TestKeyedFold:
             mem.fold_successes(keys, ones, ones, np.array([1.0, -1e-9]))
         with pytest.raises(ValueError):
             mem.fold_successes(keys, ones, np.ones(3), ones)
+        assert _memory_state(mem) == _memory_state(ParameterMemory())
+
+    def test_rejects_nan_improvements(self):
+        # a NaN improvement would write NaN into the strategy's F and CR cells
+        mem = ParameterMemory()
+        keys, f = np.array([0, 1]), np.array([0.5, 0.6])
+        with pytest.raises(ValueError):
+            mem.fold_successes(keys, f, f, np.array([np.nan, 1.0]))
         assert _memory_state(mem) == _memory_state(ParameterMemory())
 
 

@@ -1,17 +1,63 @@
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppsde.selection import (
+    eps_key,
+    key_less,
+    key_less_equal,
     pull_accept_mask,
     push_accept_mask,
     sf_accept_mask,
     sf_best_index,
     sf_better_mask,
+    sf_key,
     sf_order,
 )
 
-from conftest import F, PHI, random_pairs
+from conftest import (
+    EPS,
+    F,
+    PHI,
+    pull_accept_reference,
+    random_pairs,
+    sf_better_reference,
+)
+
+
+class TestKeys:
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=st.lists(st.tuples(PHI, F, PHI, F), min_size=1, max_size=20), eps=EPS)
+    def test_comparisons_are_tuple_order(self, pairs, eps):
+        """key_less and key_less_equal are Python's tuple < and <= on each
+        element's (major, minor), for both keys."""
+        phi_a, f_a, phi_b, f_b = (np.array(col) for col in zip(*pairs))
+        for key in (sf_key, lambda phi, f: eps_key(phi, f, eps)):
+            a, b = key(phi_a, f_a), key(phi_b, f_b)
+            tuples_a = list(zip(*(k.tolist() for k in a)))
+            tuples_b = list(zip(*(k.tolist() for k in b)))
+            np.testing.assert_array_equal(key_less(a, b),
+                                          [u < v for u, v in zip(tuples_a, tuples_b)])
+            np.testing.assert_array_equal(key_less_equal(a, b),
+                                          [u <= v for u, v in zip(tuples_a, tuples_b)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=st.lists(st.tuples(PHI, F, PHI, F), min_size=1, max_size=20), eps=EPS)
+    def test_masks_equal_the_references(self, pairs, eps):
+        """Every key-derived mask equals its rule written case by case."""
+        phi_p, f_p, phi_t, f_t = (np.array(col) for col in zip(*pairs))
+        np.testing.assert_array_equal(sf_better_mask(phi_t, f_t, phi_p, f_p),
+                                      sf_better_reference(phi_t, f_t, phi_p, f_p))
+        # feasibility-first acceptance: replace unless the parent is strictly better
+        np.testing.assert_array_equal(sf_accept_mask(phi_p, f_p, phi_t, f_t),
+                                      ~sf_better_reference(phi_p, f_p, phi_t, f_t))
+        np.testing.assert_array_equal(pull_accept_mask(phi_p, f_p, phi_t, f_t, eps),
+                                      pull_accept_reference(phi_p, f_p, phi_t, f_t, eps))
+        # push is the pull rule at eps = inf
+        np.testing.assert_array_equal(pull_accept_mask(phi_p, f_p, phi_t, f_t, math.inf),
+                                      push_accept_mask(f_p, f_t))
 
 
 class TestFeasibilityFirst:

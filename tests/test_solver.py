@@ -6,26 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppsde.phases import PULL, PUSH
+from ppsde.phases import PULL, PUSH, SF
 from ppsde.problems import evaluate, make_suite_problem
 from ppsde.selection import (
+    eps_key,
+    key_less,
     pull_accept_mask,
     push_accept_mask,
     sf_accept_mask,
     sf_best_index,
+    sf_better,
     sf_better_mask,
+    sf_key,
 )
-from ppsde.solver import ALGORITHMS, RunConfig, run
-from ppsde.solver import (
-    _SF_MODE,
-    _objective_decided,
-    _race_keys,
-    _resolve,
-    _sf_better,
-    _top_race,
-)
+from ppsde.solver import ALGORITHMS, RunConfig, _acceptance, _resolve, _top_race, run
 
-from conftest import F, PHI, random_pairs
+from conftest import EPS, F, PHI, random_pairs, sf_better_reference
 
 
 def small_run(algorithm="pps-de", pid="P2", dim=3, seed=0, **kw):
@@ -95,54 +91,80 @@ class TestResolve:
 PUBLIC_ACCEPT = {
     PUSH: lambda phi_p, f_p, phi_t, f_t, eps: push_accept_mask(f_p, f_t),
     PULL: pull_accept_mask,
-    _SF_MODE: lambda phi_p, f_p, phi_t, f_t, eps: sf_accept_mask(phi_p, f_p, phi_t, f_t),
+    SF: lambda phi_p, f_p, phi_t, f_t, eps: sf_accept_mask(phi_p, f_p, phi_t, f_t),
 }
 
 
+def _key(mode, eps):
+    # the key function run() picks for a generation; it pushes at eps = inf
+    return sf_key if mode == SF else lambda phi, f: eps_key(phi, f, eps)
+
+
+def _objective_decided(mode, phi_a, phi_b, eps):
+    # the reference: true where the mode's rule compares two points by
+    # objective, and the violation decides everywhere else
+    if mode == PUSH:
+        return np.ones(np.shape(phi_b), dtype=bool)
+    if mode == PULL:
+        return ((phi_b <= eps) & (phi_a <= eps)) | (phi_b == phi_a)
+    return (phi_a == 0.0) & (phi_b == 0.0)
+
+
+def _accept_reference(mode, phi_p, f_p, phi_t, f_t, eps):
+    return np.where(_objective_decided(mode, phi_p, phi_t, eps), f_t <= f_p, phi_t <= phi_p)
+
+
+def _delta_reference(mode, phi_p, f_p, phi_t, f_t, eps):
+    # the improvement on the criterion that decided the replacement
+    return np.where(_objective_decided(mode, phi_p, phi_t, eps),
+                    np.abs(f_p - f_t), np.abs(phi_p - phi_t))
+
+
 def _strictly_better(mode, phi_new, f_new, phi_old, f_old, eps):
-    # the reference: acceptance old -> new and not new -> old, built as
-    # run() builds acceptance from _objective_decided
-    return np.where(_objective_decided(mode, phi_old, phi_new, eps),
-                    f_new < f_old, phi_new < phi_old)
-
-
-def _key_less(mode, phi_a, f_a, phi_b, f_b, eps):
-    major_a, minor_a = _race_keys(mode, phi_a, f_a, eps)
-    major_b, minor_b = _race_keys(mode, phi_b, f_b, eps)
-    return (major_a < major_b) | ((major_a == major_b) & (minor_a < minor_b))
-
-
-EPS = st.sampled_from([0.0, math.inf, 0.5, 1.0]) | st.floats(0.0, 10.0)
+    # acceptance old -> new and not new -> old
+    return (_accept_reference(mode, phi_old, f_old, phi_new, f_new, eps)
+            & ~_accept_reference(mode, phi_new, f_new, phi_old, f_old, eps))
 
 
 class TestStrictlyBetter:
     @settings(max_examples=300, deadline=None)
     @given(pairs=st.lists(st.tuples(PHI, F, PHI, F), min_size=1, max_size=20),
            eps=EPS, mode=st.sampled_from(sorted(PUBLIC_ACCEPT)))
-    def test_merged_pull_comparison_equals_two_way_acceptance(self, pairs, eps, mode):
-        """Every mode: the solver's acceptance, built as run() builds it from
-        ``_objective_decided``, equals the public mask, strictly-better is
-        acceptance one way and not the other, and strictly-better is a
-        smaller key under ``_race_keys``."""
+    def test_run_acceptance_and_delta_equal_the_references(self, pairs, eps, mode):
+        """Every mode: run()'s acceptance and improvement, decided on the
+        mode's key, equal the case-by-case references bit for bit, the
+        reference acceptance equals the public mask, and strictly-better is
+        a smaller key."""
         phi_new, f_new, phi_old, f_old = (np.array(col) for col in zip(*pairs))
-        key_eps = math.inf if mode == PUSH else eps  # run() pushes at eps = inf
+        if mode == PUSH:
+            eps = math.inf
+        key = _key(mode, eps)
+        for (phi_p, f_p), (phi_t, f_t) in (((phi_old, f_old), (phi_new, f_new)),
+                                           ((phi_new, f_new), (phi_old, f_old))):
+            with np.errstate(invalid="ignore"):  # inf - inf, where both phi are inf
+                accept, delta = _acceptance(key(phi_p, f_p), key(phi_t, f_t), phi_p, phi_t)
+                expected_delta = _delta_reference(mode, phi_p, f_p, phi_t, f_t, eps)
+            # the reference's improvement between two infinite violations is
+            # |inf - inf| = NaN under sf; the keys tie there, and a tie improves by 0
+            expected_delta[np.isnan(expected_delta)] = 0.0
+            expected = _accept_reference(mode, phi_p, f_p, phi_t, f_t, eps)
+            np.testing.assert_array_equal(accept, expected)
+            np.testing.assert_array_equal(delta, expected_delta)
+            np.testing.assert_array_equal(
+                expected, PUBLIC_ACCEPT[mode](phi_p, f_p, phi_t, f_t, eps))
+        expected = _strictly_better(mode, phi_new, f_new, phi_old, f_old, eps)
+        np.testing.assert_array_equal(key_less(key(phi_new, f_new), key(phi_old, f_old)),
+                                      expected)
+        if mode == SF:
+            np.testing.assert_array_equal(
+                expected, sf_better_reference(phi_new, f_new, phi_old, f_old))
 
-        def accept(phi_p, f_p, phi_t, f_t):
-            decided = _objective_decided(mode, phi_p, phi_t, eps)
-            got = np.where(decided, f_t <= f_p, phi_t <= phi_p)
-            np.testing.assert_array_equal(got, PUBLIC_ACCEPT[mode](phi_p, f_p, phi_t, f_t, eps))
-            return got
+    def test_equal_infeasible_violations_improve_by_zero_under_sf(self):
+        # the violation decides and ties, so the objective's change is no improvement
+        accept, delta = _acceptance(sf_key(0.5, 1.0), sf_key(0.5, -3.0), 0.5, 0.5)
+        assert accept and delta == 0.0
 
-        expected = (accept(phi_old, f_old, phi_new, f_new)
-                    & ~accept(phi_new, f_new, phi_old, f_old))
-        got = _strictly_better(mode, phi_new, f_new, phi_old, f_old, eps)
-        np.testing.assert_array_equal(got, expected)
-        np.testing.assert_array_equal(
-            _key_less(mode, phi_new, f_new, phi_old, f_old, key_eps), expected)
-        if mode == _SF_MODE:
-            np.testing.assert_array_equal(got, sf_better_mask(phi_new, f_new, phi_old, f_old))
-
-    @pytest.mark.parametrize("mode", [PUSH, PULL, _SF_MODE])
+    @pytest.mark.parametrize("mode", [PUSH, PULL, SF])
     def test_key_order_equals_strictly_better_on_random_pairs(self, mode):
         rng = np.random.default_rng(24)
         phi_a, f_a = random_pairs(rng, 5000)
@@ -151,8 +173,9 @@ class TestStrictlyBetter:
         tied = rng.random(5000) < 0.2
         phi_b[tied], f_b[tied] = phi_a[tied], f_a[tied]
         eps = math.inf if mode == PUSH else 0.5
+        key = _key(mode, eps)
         for a, b in (((phi_a, f_a), (phi_b, f_b)), ((phi_b, f_b), (phi_a, f_a))):
-            np.testing.assert_array_equal(_key_less(mode, *a, *b, eps),
+            np.testing.assert_array_equal(key_less(key(*a), key(*b)),
                                           _strictly_better(mode, *a, *b, eps))
 
 
@@ -174,7 +197,7 @@ class TestTopRace:
     @settings(max_examples=300, deadline=None)
     @given(triples=st.lists(st.lists(st.tuples(PHI, F), min_size=3, max_size=3),
                             min_size=1, max_size=12),
-           eps=EPS, mode=st.sampled_from([PUSH, PULL, _SF_MODE]), copies=st.data())
+           eps=EPS, mode=st.sampled_from([PUSH, PULL, SF]), copies=st.data())
     def test_winner_and_credit_equal_the_pairwise_reference(self, triples, eps, mode, copies):
         """On tie-rich (phi, f) triples: the winner is the earliest best trial
         and it is credited only when strictly better than both others."""
@@ -187,7 +210,7 @@ class TestTopRace:
             if copies.draw(st.booleans()):
                 block[:, dst, col] = block[:, src, col]
         phi, f = block
-        winner, outright = _top_race(mode, phi, f, eps)
+        winner, outright = _top_race(*_key(mode, eps)(phi, f))
         expected_winner, expected_outright = _race_reference(mode, phi, f, eps)
         np.testing.assert_array_equal(winner, expected_winner)
         np.testing.assert_array_equal(outright, expected_outright)
@@ -195,35 +218,35 @@ class TestTopRace:
     def test_ties_take_the_earliest_trial_and_credit_none(self):
         # a three-way tie with both signed zeros, and a tie of the last two
         phi, f = np.zeros((3, 2)), np.array([[0.0, 2.0], [-0.0, 1.0], [0.0, 1.0]])
-        for mode, eps in ((PUSH, math.inf), (PULL, 0.0), (_SF_MODE, math.nan)):
-            winner, outright = _top_race(mode, phi, f, eps)
+        for mode, eps in ((PUSH, math.inf), (PULL, 0.0), (SF, math.nan)):
+            winner, outright = _top_race(*_key(mode, eps)(phi, f))
             np.testing.assert_array_equal(winner, [0, 1])
             np.testing.assert_array_equal(outright, [False, False])
 
 
 class TestBestSoFar:
     # run() keeps the feasibility-first minimum of each generation when
-    # sf_better_mask says it beats the incumbent
+    # sf_better says it beats the incumbent
     def test_picks_feasibility_first_minimum(self):
         assert sf_best_index([3.0, 1.0, 2.0], [0.0, 0.2, 0.0]) == 2
 
     def test_tie_keeps_incumbent(self):
         f, phi = np.array([2.0, 5.0]), np.zeros(2)
         best = sf_best_index(f, phi)
-        assert not sf_better_mask(phi[best], f[best], 0.0, 2.0)
+        assert not sf_better(float(phi[best]), float(f[best]), 0.0, 2.0)
 
     def test_strictly_better_candidate_replaces(self):
-        assert sf_better_mask(0.0, 1.5, 0.0, 2.0)
+        assert sf_better(0.0, 1.5, 0.0, 2.0)
 
     @settings(max_examples=500, deadline=None)
     @given(phi_a=PHI, f_a=F, phi_b=PHI, f_b=F, tie=st.booleans())
     def test_float_rule_equals_the_public_mask(self, phi_a, f_a, phi_b, f_b, tie):
-        # run() decides the incumbent with _sf_better on Python floats
         if tie:
             phi_b, f_b = phi_a, f_a
-        expected = sf_better_mask(phi_a, f_a, phi_b, f_b)
-        got = _sf_better(phi_a, f_a, phi_b, f_b)
+        expected = sf_better_reference(phi_a, f_a, phi_b, f_b)
+        got = sf_better(phi_a, f_a, phi_b, f_b)
         assert type(got) is bool and got == bool(expected)
+        assert got == bool(sf_better_mask(phi_a, f_a, phi_b, f_b))
 
 
 class TestBudgetAccounting:
