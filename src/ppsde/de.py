@@ -86,10 +86,21 @@ def _keyed_weights(keys, deltas, n_keys):
 
     The one weight rule: ``delta / total`` over the key's set, or ``1 / size``
     where the set's total is zero.  Every division has a non-zero
-    denominator, because only keys that occur are looked up.
+    denominator, because only keys that occur are looked up.  A set whose
+    total is infinite, from an infinite delta or from an overflowing sum, is
+    weighted on its deltas divided by its largest one, so that its infinite
+    deltas share the weight equally and its finite ones get none; every
+    other set keeps its deltas as they are.
     """
     count = np.bincount(keys, minlength=n_keys)
     total = np.bincount(keys, weights=deltas, minlength=n_keys)
+    if np.isinf(total).any():
+        largest = np.zeros(n_keys)
+        np.maximum.at(largest, keys, deltas)
+        big = largest[keys]
+        scaled = np.divide(deltas, big, out=np.ones_like(deltas), where=deltas != big)
+        deltas = np.where(np.isinf(total)[keys], scaled, deltas)
+        total = np.bincount(keys, weights=deltas, minlength=n_keys)
     uniform = total == 0.0
     w = np.where(uniform[keys], 1.0, deltas) / np.where(uniform, count, total)[keys]
     return w, count
@@ -233,9 +244,12 @@ class StrategyStats:
     def success_rates(self, generation):
         """Per-strategy selection probabilities at the given generation.
 
-        Uniform while the window is still warming up (generation below the
-        window length) or when no wins have been recorded; otherwise each
-        strategy's share of the windowed wins.
+        Asked before generation G records its own wins, as ``solver.run``
+        does, this is SaDE's rule (Qin, Huang & Suganthan 2009): the
+        window holds generations G - window ... G - 1, one generation
+        behind the race of G.  Uniform while the window is still warming up
+        (generation below the window length) or when no wins have been
+        recorded; otherwise each strategy's share of the windowed wins.
         """
         n = len(STRATEGIES)
         if generation < self.window:

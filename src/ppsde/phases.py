@@ -97,10 +97,13 @@ class EpsilonSchedule:
                         **kwargs):
         """Start the schedule from a population's violation quantile.
 
-        An explicit ``eps_initial`` overrides the quantile rule.
+        An explicit ``eps_initial`` overrides the quantile rule.  The quantile
+        is taken with infinite violations counted as the largest double, so
+        that it never interpolates ``inf - inf`` and always starts finite.
         """
         if eps_initial is None:
-            eps_initial = float(np.quantile(np.asarray(violations, dtype=float), quantile))
+            eps_initial = float(np.quantile(
+                np.minimum(np.asarray(violations, dtype=float), np.finfo(float).max), quantile))
         return cls(eps_initial, cutoff, **kwargs)
 
     def level(self, k, feasible_ratio):

@@ -148,12 +148,14 @@ def overall_violation(g_values, h_values, sigma):
     Inequalities contribute their positive part, equalities the amount by
     which their magnitude exceeds ``sigma``.  Accepts stacked arrays whose
     last axis indexes constraints; an empty last axis contributes zero.
+    Finite values whose sum overflows give an infinite violation.
     """
     g_values = np.asarray(g_values, dtype=float)
     h_values = np.asarray(h_values, dtype=float)
-    total = np.add.reduce(np.maximum(g_values, 0.0), axis=-1)
-    if h_values.shape[-1]:
-        total = total + np.add.reduce(np.maximum(np.abs(h_values) - sigma, 0.0), axis=-1)
+    with np.errstate(over="ignore"):
+        total = np.add.reduce(np.maximum(g_values, 0.0), axis=-1)
+        if h_values.shape[-1]:
+            total = total + np.add.reduce(np.maximum(np.abs(h_values) - sigma, 0.0), axis=-1)
     return total
 
 

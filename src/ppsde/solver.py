@@ -6,18 +6,25 @@ generates three trials, one per strategy with independently sampled control
 parameters; the best of the three under the current phase's comparison rule
 is kept, the earliest strategy on a tie, and its strategy is credited with a
 win only when that trial is strictly better than both others.  Every bottom
-member generates a single trial with a strategy drawn from the windowed win
-rates.  One offspring step serves both parts: it samples the control
-parameters, builds the trials and evaluates them, first for the top targets
-and then for the bottom ones.  The members and the two trial sets then form
-one block of rows per generation, from which the replacement gathers.  All
-replacements are one-to-one under the phase rule: constraint-blind while
-pushing, violation-relaxed while pulling.  Successful control parameters,
-weighted by how much they improved the deciding criterion, are folded into
-the per-strategy memories at the end of the generation, all strategies in
-one keyed fold; a strategy without a success that generation keeps its
-memory untouched.  The population is then sorted once, and its first row is
-the only candidate for the incumbent, decided on Python floats.
+member generates a single trial with a strategy drawn from the win rates of
+the generations before this one.  This is the lag rule of SaDE (Qin, Huang
+& Suganthan 2009): generation G's strategy probabilities come from the
+races of generations G - LP ... G - 1, and are uniform while G < LP.  So
+the bottom picks never wait for this generation's race, and one offspring
+step serves both parts: it samples the control parameters, builds the
+trials and evaluates them, all 3T + N - T rows at once, the top trials
+first.  A generation draws the bottom picks, then one F/CR sample, then
+one trial block.  The race reads its 3T trials from the head of the step's
+rows, and its wins enter the window for the generations after it.  The
+members and the trials form one block of rows per generation, from which
+the replacement gathers.  All replacements are one-to-one under the phase
+rule: constraint-blind while pushing, violation-relaxed while pulling.
+Successful control parameters, weighted by how much they improved the
+deciding criterion, are folded into the per-strategy memories at the end of
+the generation, all strategies in one keyed fold; a strategy without a
+success that generation keeps its memory untouched.  The population is then
+sorted once, and its first row is the only candidate for the incumbent,
+decided on Python floats.
 
 Every phase rule is a lexicographic order on a (violation, objective) key,
 and ``selection`` states both keys: ``eps_key`` while pushing (at an
@@ -131,9 +138,11 @@ class RunTrace:
 
     ``best_f``/``best_phi`` follow the retained feasibility-first best;
     ``pop_min_f`` is the population's raw objective minimum, the quantity
-    the phase switch watches.  ``sr`` holds the strategy rates used for the
-    bottom picks, ``wins`` the top win counts, ``bottom_strategies`` the
-    bottom pick counts, each with one column per strategy.
+    the phase switch watches.  ``sr`` holds the strategy rates the bottom
+    picks were drawn from, taken from the window of generations before this
+    one; ``wins`` holds the win counts of this generation's top race and
+    ``bottom_strategies`` the bottom pick counts, each with one column per
+    strategy.
     """
 
     generation: np.ndarray
@@ -210,11 +219,15 @@ def _acceptance(parent_key, cand_key, parent_phi, cand_phi):
 
     A candidate replaces where its key is at most the parent's.  δ is
     measured against the criterion that decided the replacement: the minor
-    keys where the major keys tie, the violations otherwise.
+    keys where the major keys tie, the violations otherwise.  A difference
+    beyond the largest double is an infinite δ, which the memory fold
+    weighs.  Two infinite violations always tie on the major key, so their
+    NaN difference is never taken.
     """
     (p_major, p_minor), (c_major, c_minor) = parent_key, cand_key
-    delta = np.where(p_major == c_major, np.abs(p_minor - c_minor),
-                     np.abs(parent_phi - cand_phi))
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = np.where(p_major == c_major, np.abs(p_minor - c_minor),
+                         np.abs(parent_phi - cand_phi))
     return key_less_equal(cand_key, parent_key), delta
 
 
@@ -259,21 +272,13 @@ def run(problem, config, *, force_win_strategy=None):
     pull_start = 0 if cfg.algorithm == "eps-de" else None
 
     pool = pbest_pool_size(n)
-    top_idx = np.arange(t)
-    top_targets = np.tile(top_idx, 3)
-    top_strategies = np.repeat(np.arange(len(STRATEGIES)), t)  # strategy-major
-    bottom_idx = np.arange(t, n)
+    # the trial rows: the 3t top trials (strategy-major), then the bottom ones
+    targets = np.concatenate((np.tile(np.arange(t), 3), np.arange(t, n)))
+    top_strategies = np.repeat(np.arange(len(STRATEGIES)), t)
     member_rows = np.arange(n)
-    # rows of the generation's block: the n members, the 3t top trials
-    # (strategy-major), then the bottom trials
-    top_rows = top_idx + n
+    # rows of the generation's block: the n members, then the trials
+    top_rows = np.arange(n, n + t)
     bottom_rows = np.arange(n + 3 * t, n + gen_cost)
-
-    def offspring(pop, targets, strategies):
-        """One trial per target with freshly sampled F/CR: x, f, g, h, phi, F, CR."""
-        f_param, cr_param = memory.sample_parameters_many(strategies, len(targets), rng)
-        x = make_trials(pop, targets, strategies, f_param, cr_param, pool, lower, upper, rng)
-        return (x, *evaluate_many(problem, x), f_param, cr_param)
 
     trace = RunTrace(
         generation=np.arange(n_gen), fes=n + gen_cost * np.arange(1, n_gen + 1),
@@ -297,33 +302,34 @@ def run(problem, config, *, force_win_strategy=None):
             mode, eps = PUSH, math.inf
         key = sf_key if mode == SF else partial(eps_key, eps=eps)
 
-        top_x, top_f, top_g, top_h, top_phi, top_fp, top_crp = offspring(
-            pop, top_targets, top_strategies)
+        # the bottom picks read the win window of the generations before this one
+        sr = stats.success_rates(generation)
+        picks = select_strategies(sr, n_bottom, rng)
+        strategies = np.concatenate((top_strategies, picks))
+        f_param, cr_param = memory.sample_parameters_many(strategies, gen_cost, rng)
+        x = make_trials(pop, targets, strategies, f_param, cr_param, pool, lower, upper, rng)
+        trial_f, trial_g, trial_h, trial_phi = evaluate_many(problem, x)
+
         if force_win_strategy is not None:
             winner = np.full(t, int(force_win_strategy))
             wins = np.bincount(winner, minlength=3)
         else:
             # a race whose best trials tie credits no strategy
-            winner, outright = _top_race(*key(top_phi.reshape(3, t), top_f.reshape(3, t)))
+            winner, outright = _top_race(*key(trial_phi[:3 * t].reshape(3, t),
+                                              trial_f[:3 * t].reshape(3, t)))
             wins = np.bincount(winner[outright], minlength=3)
         stats.record_generation(wins)
-        sr = stats.success_rates(generation)
-
-        picks = select_strategies(sr, n_bottom, rng)
-        bot_x, bot_f, bot_g, bot_h, bot_phi, bot_fp, bot_crp = offspring(pop, bottom_idx, picks)
 
         # a member's candidate is its best top trial or its bottom trial
-        block_x = np.concatenate((pop, top_x, bot_x))
-        block_f = np.concatenate((f, top_f, bot_f))
-        block_phi = np.concatenate((phi, top_phi, bot_phi))
-        trial_fp, trial_crp = np.concatenate((top_fp, bot_fp)), np.concatenate((top_crp, bot_crp))
+        block_x = np.concatenate((pop, x))
+        block_f = np.concatenate((f, trial_f))
+        block_phi = np.concatenate((phi, trial_phi))
         cand = np.concatenate((winner * t + top_rows, bottom_rows))
         major, minor = key(block_phi, block_f)
         accept, delta = _acceptance((major[:n], minor[:n]), (major[cand], minor[cand]),
                                     phi, block_phi[cand])
         rows = cand[accept] - n
-        memory.fold_successes(np.concatenate((winner, picks))[accept], trial_fp[rows],
-                              trial_crp[rows], delta[accept])
+        memory.fold_successes(strategies[rows], f_param[rows], cr_param[rows], delta[accept])
 
         # each member keeps its row or takes its candidate's, sorted feasibility-first
         kept = np.where(accept, cand, member_rows)
@@ -335,8 +341,7 @@ def run(problem, config, *, force_win_strategy=None):
             # every kept member is no better than last generation's row 0,
             # hence than the incumbent, so a new incumbent is a trial
             r = kept[0] - n
-            best = _member(pop[0], f[0], phi[0], np.concatenate((top_g, bot_g))[r],
-                           np.concatenate((top_h, bot_h))[r])
+            best = _member(pop[0], f[0], phi[0], trial_g[r], trial_h[r])
 
         if cfg.algorithm == "pps-de":
             trace.rate[generation] = tracker.update_rate(generation, pop_min_f)

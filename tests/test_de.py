@@ -50,6 +50,15 @@ class TestImprovementWeights:
         with pytest.raises(ValueError):
             improvement_weights([np.nan, 1.0])
 
+    def test_infinite_improvements_share_the_weight(self):
+        np.testing.assert_array_equal(improvement_weights([np.inf, 2.0, np.inf]),
+                                      [0.5, 0.0, 0.5])
+        # finite improvements whose sum overflows keep their proportions
+        np.testing.assert_array_equal(improvement_weights([1e308, 1e308, 0.0]),
+                                      [0.5, 0.5, 0.0])
+        np.testing.assert_array_equal(improvement_weights([1e308, 5e307]),
+                                      improvement_weights([2.0, 1.0]))
+
 
 class TestParameterMemory:
     def test_initial_state(self):
@@ -293,6 +302,33 @@ class TestKeyedFold:
         with pytest.raises(ValueError):
             mem.fold_successes(keys, ones, np.ones(3), ones)
         assert _memory_state(mem) == _memory_state(ParameterMemory())
+
+    @settings(max_examples=200, deadline=None)
+    @given(successes=success_sets(), data=st.data())
+    def test_an_infinite_improvement_shares_its_strategy_weight(self, successes, data):
+        """A strategy whose successes include an infinite improvement weighs
+        its infinite ones equally and the rest by 0; every other strategy
+        folds as before, and every cell stays finite."""
+        keys, f, cr, delta = successes
+        infinite = np.array(data.draw(st.lists(st.booleans(), min_size=len(keys),
+                                               max_size=len(keys))), dtype=bool)
+        delta = np.where(infinite, np.inf, delta)
+        folded, reference = ParameterMemory(length=3), ParameterMemory(length=3)
+        folded.fold_successes(keys, f, cr, delta)
+        overflowed = np.isin(keys, keys[infinite])
+        _fold_reference(reference, keys, f, cr,
+                        np.where(overflowed, infinite.astype(float), delta))
+        assert _memory_state(folded) == _memory_state(reference)
+        assert np.isfinite(folded.f_memory).all() and np.isfinite(folded.cr_memory).all()
+
+    def test_infinite_improvement_writes_a_finite_cell(self):
+        # a finite candidate that replaces a member of infinite violation
+        # improves by inf; inf / inf would write NaN into the cells
+        mem = ParameterMemory()
+        mem.fold_successes(np.array([0, 0]), np.array([0.5, 0.9]), np.array([0.25, 0.75]),
+                           np.array([np.inf, 1.0]))
+        assert (mem.f_memory[0, 0], mem.cr_memory[0, 0]) == (0.5, 0.25)
+        assert mem.pointer[0] == 1
 
     def test_rejects_nan_improvements(self):
         # a NaN improvement would write NaN into the strategy's F and CR cells

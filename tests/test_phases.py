@@ -125,6 +125,19 @@ class TestEpsilonSchedule:
         sched = EpsilonSchedule.from_violations(violations, cutoff=100)
         assert sched.eps_initial == pytest.approx(0.95)
 
+    def test_from_violations_counts_infinite_violations_as_the_largest_double(self):
+        # np.quantile would interpolate inf - inf and start the schedule at NaN
+        largest = np.finfo(float).max
+        sched = EpsilonSchedule.from_violations([0.0, 1.0, np.inf, np.inf], cutoff=10)
+        assert sched.eps_initial == largest
+        sched = EpsilonSchedule.from_violations([0.0, 1.0, 2.0, np.inf], cutoff=10)
+        assert 2.0 < sched.eps_initial < largest
+        assert all(np.isfinite(sched.level(k, 0.0)) for k in range(12))
+        # finite violations give the quantile itself
+        violations = np.random.default_rng(3).exponential(1.0, 50)
+        sched = EpsilonSchedule.from_violations(violations, cutoff=10)
+        assert sched.eps_initial == float(np.quantile(violations, 0.95))
+
     def test_from_violations_explicit_override(self):
         sched = EpsilonSchedule.from_violations([1.0, 2.0, 3.0], cutoff=10,
                                                 eps_initial=0.0)

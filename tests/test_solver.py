@@ -1,13 +1,16 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ppsde import solver
+from ppsde.de import ParameterMemory, StrategyStats
 from ppsde.phases import PULL, PUSH, SF
-from ppsde.problems import evaluate, make_suite_problem
+from ppsde.problems import Problem, evaluate, make_suite_problem
 from ppsde.selection import (
     eps_key,
     key_less,
@@ -163,6 +166,17 @@ class TestStrictlyBetter:
         # the violation decides and ties, so the objective's change is no improvement
         accept, delta = _acceptance(sf_key(0.5, 1.0), sf_key(0.5, -3.0), 0.5, 0.5)
         assert accept and delta == 0.0
+
+    def test_an_improvement_beyond_the_largest_double_is_infinite(self):
+        # objectives of opposite sign near the largest double, and a finite
+        # violation replacing an infinite one; pytest turns a warning into an error
+        phi, f = np.array([0.0, 0.0, math.inf]), np.array([1e308, 1e308, 1.0])
+        cand_phi, cand_f = np.array([0.0, math.inf, 0.5]), np.array([-1e308, 1.0, 1.0])
+        for key in (sf_key, _key(PULL, 0.0), _key(PUSH, math.inf)):
+            accept, delta = _acceptance(key(phi, f), key(cand_phi, cand_f), phi, cand_phi)
+            assert accept[0] and delta[0] == math.inf
+            np.testing.assert_array_equal(accept[2:], True)
+            assert not np.isnan(delta).any()
 
     @pytest.mark.parametrize("mode", [PUSH, PULL, SF])
     def test_key_order_equals_strictly_better_on_random_pairs(self, mode):
@@ -386,6 +400,103 @@ class TestRunInvariants:
         assert np.all(res.trace.wins.sum(axis=1) <= 8)
         assert np.all(res.trace.bottom_strategies == 0)
         np.testing.assert_array_equal(res.trace.fes, 8 + 24 * np.arange(1, res.generations + 1))
+
+
+def _count_calls(monkeypatch, owner, name, log, rows):
+    # wrap owner.name so that each call, once made, appends rows(*args) to log
+    real = getattr(owner, name)
+
+    def counted(*args):
+        out = real(*args)
+        log.append(rows(*args))
+        return out
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+class TestOffspringStep:
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("n_pop, top_size", [(12, 6), (8, 8)])
+    def test_one_sample_one_trial_block_one_evaluation_per_generation(
+            self, monkeypatch, algorithm, n_pop, top_size):
+        sampled, built, evaluated = [], [], []
+        _count_calls(monkeypatch, ParameterMemory, "sample_parameters_many", sampled,
+                     lambda memory, strategies, size, rng: size)
+        _count_calls(monkeypatch, solver, "make_trials", built,
+                     lambda pop, targets, *rest: len(targets))
+        _count_calls(monkeypatch, solver, "evaluate_many", evaluated,
+                     lambda problem, xs: len(xs))
+        res = small_run(algorithm=algorithm, pid="P2", dim=3, n_pop=n_pop, top_size=top_size,
+                        max_fes=1500, seed=2)
+        rows = [3 * top_size + n_pop - top_size] * res.generations
+        assert res.generations > 0
+        assert sampled == rows
+        assert built == rows
+        assert evaluated == [n_pop] + rows
+
+    def test_picks_read_the_window_of_the_generations_before(self, monkeypatch):
+        """Generation G's bottom picks are drawn from the win shares of the
+        races of generations G - LP ... G - 1, uniform while G < LP, as in
+        SaDE; trace.sr holds those rates and trace.wins each generation's
+        own race."""
+        records, rates = [], []
+        _count_calls(monkeypatch, StrategyStats, "record_generation", records,
+                     lambda stats, counts: np.array(counts))
+        _count_calls(monkeypatch, solver, "select_strategies", rates,
+                     lambda sr, size, rng: np.array(sr))
+        period = 4
+        res = small_run(pid="P2", dim=3, max_fes=3000, seed=3, learning_period=period)
+        wins = np.array(records)
+        assert len(rates) == len(wins) == res.generations
+        for generation, got in enumerate(rates):
+            window = wins[generation - period:generation].sum(axis=0)
+            if generation < period or window.sum() == 0:
+                expected = np.full(3, 1.0 / 3)
+            else:
+                expected = window / window.sum()
+            np.testing.assert_array_equal(got, expected, err_msg=f"generation {generation}")
+        np.testing.assert_array_equal(res.trace.sr, np.array(rates))
+        np.testing.assert_array_equal(res.trace.wins, wins)
+
+
+def _overflow_problem(magnitudes):
+    # a 4-D sphere around (1, 1, 1, 1), whose two inequality constraints
+    # return a finite magnitude up to the largest double where x0 > 0 and
+    # where x1 > 0; where both hold, their sum overflows to an infinite
+    # violation
+    def constraint(j):
+        return lambda xs: np.where(xs[..., j] > 0.0, magnitudes[j], xs[..., j] - 1.0)
+
+    return Problem(dim=4, lower=-5.0, upper=5.0,
+                   objective=lambda xs: ((xs - 1.0) ** 2).sum(axis=-1),
+                   inequalities=(constraint(0), constraint(1)), name="overflow")
+
+
+class TestOverflow:
+    @settings(max_examples=12, deadline=None)
+    @given(magnitudes=st.lists(st.sampled_from([1e308, np.finfo(float).max])
+                               | st.floats(1.0, np.finfo(float).max), min_size=2, max_size=2),
+           seed=st.integers(0, 2**16))
+    def test_runs_on_overflowing_violations_stay_finite(self, magnitudes, seed):
+        """Every algorithm runs without an error or a RuntimeWarning, and
+        its memory cells and relaxation levels stay finite, where the
+        violations reach the largest double and overflow in their sum."""
+        problem = _overflow_problem(magnitudes)
+        for algorithm in ALGORITHMS:
+            cells = []  # the memories after each generation's fold
+            with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                _count_calls(mp, ParameterMemory, "fold_successes", cells,
+                             lambda memory, *successes: (memory.f_memory.copy(),
+                                                         memory.cr_memory.copy()))
+                res = run(problem, RunConfig(algorithm=algorithm, seed=seed, max_fes=3000,
+                                             learning_period=10))
+            assert res.generations > 0 and len(cells) == res.generations
+            assert np.isfinite(cells).all()
+            pulling = res.trace.phase == PULL
+            assert np.isfinite(res.trace.eps[pulling]).all()
+            if algorithm == "eps-de":
+                assert pulling.all()
 
 
 class TestBaselines:
