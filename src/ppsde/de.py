@@ -270,9 +270,12 @@ def select_strategies(rates, size, rng):
 # ---------------------------------------------------------------------------
 # Trial generation
 
-def pbest_pool_size(n_pop, p_fraction=0.05):
-    """Size of the elite pool: round half up, never below one."""
-    return max(1, int(np.floor(p_fraction * n_pop + 0.5)))
+PBEST_FRACTION = 0.05  # the elite pool's share of the population
+
+
+def pbest_pool_size(n_pop):
+    """Size of the elite pool: ``PBEST_FRACTION`` of ``n_pop``, round half up, never below one."""
+    return max(1, int(np.floor(PBEST_FRACTION * n_pop + 0.5)))
 
 
 def _repair(candidate, parent, lower, upper):

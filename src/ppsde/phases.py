@@ -20,22 +20,28 @@ PUSH = "push"
 PULL = "pull"
 SF = "sf"  # the mode of a run that compares feasibility-first throughout
 
+# the method's fixed constants
+SWITCH_THRESHOLD = 1e-3  # the change rate at or below which pushing stops
+RATE_FLOOR = 1e-6  # floor of the change rate's denominator
+EPS_QUANTILE = 0.95  # the violation quantile that starts eps
+EPS_SHRINK = 0.1  # eps shrinks by this share while few members are feasible
+FEASIBLE_TRIGGER = 0.95  # the feasible share that ends the shrinking
+DECAY_POWER = 2.0  # power of eps's decay toward the cutoff
+EPS_CUTOFF_FRACTION = 0.9  # eps is 0 from this share of the run's generations on
+
 
 class PhaseTracker:
     """Detects objective stagnation and performs the one-way phase switch.
 
-    The change rate at generation G compares the best objective now against
-    its value one learning period earlier, normalized by the earlier
-    magnitude (floored at ``delta`` to keep the ratio finite).  Until a full
-    learning period of values exists the rate is pinned at 1.
+    The change rate at generation G is ``(old - new) / max(|old|, RATE_FLOOR)``
+    for the best objective ``new`` at G and ``old`` one learning period
+    earlier, and 1 until a full learning period of values exists.
     """
 
-    def __init__(self, learning_period, threshold=1e-3, delta=1e-6):
+    def __init__(self, learning_period):
         if learning_period < 1:
             raise ValueError("learning period must be >= 1")
         self.learning_period = int(learning_period)
-        self.threshold = float(threshold)
-        self.delta = float(delta)
         self.rate = 1.0
         self.phase = PUSH
         self.switch_generation = None
@@ -51,16 +57,16 @@ class PhaseTracker:
         else:
             old = self._history[0]
             new = self._history[-1]
-            self.rate = (old - new) / max(abs(old), self.delta)
+            self.rate = (old - new) / max(abs(old), RATE_FLOOR)
         return self.rate
 
     def should_switch(self):
-        """Flip push -> pull when the rate has fallen to the threshold.
+        """Flip push -> pull when the rate has fallen to ``SWITCH_THRESHOLD``.
 
         Returns True only on the single generation the switch happens; once
         in the pull phase this never fires again.
         """
-        if self.phase == PUSH and self.rate <= self.threshold:
+        if self.phase == PUSH and self.rate <= SWITCH_THRESHOLD:
             self.phase = PULL
             self.switch_generation = self._generation
             return True
@@ -70,41 +76,33 @@ class PhaseTracker:
 class EpsilonSchedule:
     """Violation-relaxation level for the pull phase.
 
-    ``k`` counts generations since the schedule started.  The level begins
-    at ``eps_initial``, is forced to zero from the cutoff generation on, and
-    in between either shrinks geometrically (while the population's feasible
-    fraction is below the trigger) or follows a polynomial decay toward the
-    cutoff.  Levels are memoized per ``k`` so repeated queries are stable,
-    and ``k`` must never decrease between calls.
+    ``k`` counts generations since the schedule started.  The level is
+    ``eps_initial`` at k = 0 and zero from k = cutoff on.  In between it is
+    ``(1 - EPS_SHRINK)`` times the last level while the feasible fraction is
+    below ``FEASIBLE_TRIGGER``, else ``eps_initial * (1 - k / cutoff) ** DECAY_POWER``.
+    Levels are memoized per ``k``, which must never decrease between calls.
     """
 
-    def __init__(self, eps_initial, cutoff, shrink=0.1, feasible_trigger=0.95,
-                 decay_power=2.0):
+    def __init__(self, eps_initial, cutoff):
         if eps_initial < 0:
             raise ValueError("eps_initial must be >= 0")
-        if not 0 <= shrink < 1:
-            raise ValueError("shrink must lie in [0, 1)")
         self.eps_initial = float(eps_initial)
         self.cutoff = float(cutoff)
-        self.shrink = float(shrink)
-        self.feasible_trigger = float(feasible_trigger)
-        self.decay_power = float(decay_power)
         self._level = self.eps_initial
         self._last_k = None
 
     @classmethod
-    def from_violations(cls, violations, cutoff, quantile=0.95, eps_initial=None,
-                        **kwargs):
-        """Start the schedule from a population's violation quantile.
+    def from_violations(cls, violations, cutoff, eps_initial=None):
+        """Start the schedule from a population's ``EPS_QUANTILE`` violation quantile.
 
         An explicit ``eps_initial`` overrides the quantile rule.  The quantile
         is taken with infinite violations counted as the largest double, so
         that it never interpolates ``inf - inf`` and always starts finite.
         """
         if eps_initial is None:
-            eps_initial = float(np.quantile(
-                np.minimum(np.asarray(violations, dtype=float), np.finfo(float).max), quantile))
-        return cls(eps_initial, cutoff, **kwargs)
+            capped = np.minimum(np.asarray(violations, dtype=float), np.finfo(float).max)
+            eps_initial = float(np.quantile(capped, EPS_QUANTILE))
+        return cls(eps_initial, cutoff)
 
     def level(self, k, feasible_ratio):
         """Relaxation level at pull-generation ``k``."""
@@ -119,10 +117,10 @@ class EpsilonSchedule:
             level = 0.0
         elif k == 0:
             level = self.eps_initial
-        elif feasible_ratio < self.feasible_trigger:
-            level = (1.0 - self.shrink) * self._level
+        elif feasible_ratio < FEASIBLE_TRIGGER:
+            level = (1.0 - EPS_SHRINK) * self._level
         else:
-            level = self.eps_initial * (1.0 - k / self.cutoff) ** self.decay_power
+            level = self.eps_initial * (1.0 - k / self.cutoff) ** DECAY_POWER
         self._last_k = k
         self._level = level
         return level

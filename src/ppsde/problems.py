@@ -90,7 +90,8 @@ class Problem:
         Number of decision variables.
     lower, upper : float or array_like
         Box bounds, broadcast to shape ``(dim,)``.  Must satisfy
-        ``lower < upper`` in every coordinate.
+        ``lower < upper`` in every coordinate, with finite bounds and a
+        finite width ``upper - lower``, so that the box can be sampled.
     objective : callable
         Maps points to objective values, reducing over the last axis.
     inequalities : tuple of callables
@@ -128,6 +129,11 @@ class Problem:
         hi = np.broadcast_to(np.asarray(self.upper, dtype=float), (self.dim,)).copy()
         if not np.all(lo < hi):
             raise ValueError("every lower bound must be strictly below its upper bound")
+        with np.errstate(over="ignore"):
+            width = hi - lo
+        # an infinite bound gives an infinite width too
+        if not np.isfinite(width).all():
+            raise ValueError("every bound and every width upper - lower must be finite")
         lo.setflags(write=False)
         hi.setflags(write=False)
         object.__setattr__(self, "lower", lo)

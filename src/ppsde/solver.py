@@ -29,11 +29,11 @@ decided on Python floats.
 Every phase rule is a lexicographic order on a (violation, objective) key,
 and ``selection`` states both keys: ``eps_key`` while pushing (at an
 infinite eps) and pulling, ``sf_key`` feasibility-first.  Each generation
-picks one key function and decides with it alone.  One stable sort of each
-top target's three trial keys gives the race's winner and tells whether it
-is the unique best.  A candidate replaces its member where its key is at
-most the member's, and the improvement is measured on the minor keys where
-the major keys tie and on the violations otherwise.
+picks one key function and evaluates it once, over its block of rows.  One
+stable sort of each top target's three trial keys gives the race's winner
+and tells whether it is the unique best.  A candidate replaces its member
+where its key is at most the member's, and the improvement is measured on
+the minor keys where the major keys tie and on the violations otherwise.
 
 The tie rule follows the strategy adaptation the paper takes from CoDE: a
 strategy's rate is its share of the top races it won, a measure of which
@@ -56,9 +56,9 @@ for ``eps-de``; for ``pps-de`` it is set once, to the generation after the
 population's minimum objective stagnates over a learning period.  At the
 top of that generation the relaxation schedule is seeded from the
 population's violations; it then decays, and it is zero from
-``_EPS_CUTOFF_FRACTION`` of the run's generation count after pulling starts.
-``sf-de`` never pulls and compares feasibility-first for the whole run.  All
-three share the identical loop.
+``phases.EPS_CUTOFF_FRACTION`` of the run's generation count after pulling
+starts.  ``sf-de`` never pulls and compares feasibility-first for the whole
+run.  All three share the identical loop.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ from .de import (  # noqa: F401 - the *_batch names stay bound for perfbench/tra
     rand_1_bin_batch,
     select_strategies,
 )
-from .phases import PULL, PUSH, SF, EpsilonSchedule, PhaseTracker
+from .phases import EPS_CUTOFF_FRACTION, PULL, PUSH, SF, EpsilonSchedule, PhaseTracker
 from .problems import Evaluation, Individual, evaluate_many
 from .selection import (  # noqa: F401 - the names perfbench/tracing.py wraps stay bound
     eps_key,
@@ -106,8 +106,6 @@ __all__ = [
 
 ALGORITHMS = ("pps-de", "sf-de", "eps-de")
 
-_EPS_CUTOFF_FRACTION = 0.9  # eps is 0 from this share of the run's generations on
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -117,9 +115,10 @@ class RunConfig:
     dimension, half the population and 20000 evaluations per dimension when
     left as None.  ``sigma`` overrides the problem's equality tolerance when
     set.  ``eps_initial`` overrides the violation-quantile start level of
-    the pull schedule when set.  The method's fixed constants are the
-    defaults of ``PhaseTracker``, ``EpsilonSchedule``, ``ParameterMemory``
-    and ``pbest_pool_size``, and ``_EPS_CUTOFF_FRACTION``.
+    the pull schedule when set.  The method's fixed constants are
+    ``SWITCH_THRESHOLD``, ``RATE_FLOOR``, ``EPS_QUANTILE``, ``EPS_SHRINK``,
+    ``FEASIBLE_TRIGGER``, ``DECAY_POWER`` and ``EPS_CUTOFF_FRACTION`` in
+    ``phases``, ``PBEST_FRACTION`` in ``de``, and the default memory length.
     """
 
     algorithm: str = "pps-de"
@@ -256,7 +255,7 @@ def run(problem, config, *, force_win_strategy=None):
     gen_cost = 3 * t + n_bottom
     n_gen = (cfg.max_fes - n) // gen_cost
     lower, upper = problem.lower, problem.upper
-    cutoff = _EPS_CUTOFF_FRACTION * n_gen
+    cutoff = EPS_CUTOFF_FRACTION * n_gen
 
     pop = rng.uniform(lower, upper, size=(n, d))
     f, g, h, phi = evaluate_many(problem, pop)
@@ -310,22 +309,22 @@ def run(problem, config, *, force_win_strategy=None):
         x = make_trials(pop, targets, strategies, f_param, cr_param, pool, lower, upper, rng)
         trial_f, trial_g, trial_h, trial_phi = evaluate_many(problem, x)
 
+        block_f = np.concatenate((f, trial_f))
+        block_phi = np.concatenate((phi, trial_phi))
+        major, minor = key(block_phi, block_f)  # the race and the replacement both read it
         if force_win_strategy is not None:
             winner = np.full(t, int(force_win_strategy))
             wins = np.bincount(winner, minlength=3)
         else:
             # a race whose best trials tie credits no strategy
-            winner, outright = _top_race(*key(trial_phi[:3 * t].reshape(3, t),
-                                              trial_f[:3 * t].reshape(3, t)))
+            winner, outright = _top_race(major[n:n + 3 * t].reshape(3, t),
+                                         minor[n:n + 3 * t].reshape(3, t))
             wins = np.bincount(winner[outright], minlength=3)
         stats.record_generation(wins)
 
         # a member's candidate is its best top trial or its bottom trial
         block_x = np.concatenate((pop, x))
-        block_f = np.concatenate((f, trial_f))
-        block_phi = np.concatenate((phi, trial_phi))
         cand = np.concatenate((winner * t + top_rows, bottom_rows))
-        major, minor = key(block_phi, block_f)
         accept, delta = _acceptance((major[:n], minor[:n]), (major[cand], minor[cand]),
                                     phi, block_phi[cand])
         rows = cand[accept] - n

@@ -407,10 +407,10 @@ class TestPoolSize:
         (50, 3), (70, 4), (60, 3), (20, 1), (10, 1), (100, 5),
     ])
     def test_round_half_up_at_five_percent(self, n, expected):
-        assert pbest_pool_size(n, 0.05) == expected
+        assert pbest_pool_size(n) == expected
 
     def test_never_below_one(self):
-        assert pbest_pool_size(2, 0.001) == 1
+        assert pbest_pool_size(2) == 1
 
 
 class TestRepair:

@@ -1,7 +1,24 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ppsde.phases import PULL, PUSH, EpsilonSchedule, PhaseTracker
+from ppsde import SUITE_IDS, RunConfig, make_suite_problem, run
+from ppsde.phases import (
+    DECAY_POWER,
+    EPS_CUTOFF_FRACTION,
+    EPS_SHRINK,
+    FEASIBLE_TRIGGER,
+    PULL,
+    PUSH,
+    RATE_FLOOR,
+    SF,
+    SWITCH_THRESHOLD,
+    EpsilonSchedule,
+    PhaseTracker,
+)
 
 
 class TestPhaseTracker:
@@ -35,7 +52,7 @@ class TestPhaseTracker:
     def test_magnitude_floor_in_denominator(self):
         # without the floor this rate would be 1e-9 / 1e-7 = 1e-2, no switch;
         # the floor makes it 1e-9 / 1e-6, exactly the threshold
-        tracker = PhaseTracker(learning_period=25, threshold=1e-3, delta=1e-6)
+        tracker = PhaseTracker(learning_period=25)
         tracker.update_rate(0, 1e-7)
         for g in range(1, 26):
             tracker.update_rate(g, 0.99e-7)
@@ -55,7 +72,7 @@ class TestPhaseTracker:
         assert tracker.switch_generation == 2
 
     def test_slow_improvement_keeps_pushing(self):
-        tracker = PhaseTracker(learning_period=5, threshold=1e-3)
+        tracker = PhaseTracker(learning_period=5)
         switched = False
         for g in range(40):
             tracker.update_rate(g, 100.0 * 0.9**g)
@@ -74,13 +91,13 @@ class TestEpsilonSchedule:
         assert sched.level(0, feasible_ratio=0.0) == 4.0
 
     def test_geometric_shrink_while_mostly_infeasible(self):
-        sched = EpsilonSchedule(eps_initial=4.0, cutoff=100, shrink=0.1)
+        sched = EpsilonSchedule(eps_initial=4.0, cutoff=100)
         sched.level(0, 0.0)
         assert sched.level(1, 0.0) == pytest.approx(3.6)
         assert sched.level(2, 0.0) == pytest.approx(3.24)
 
     def test_polynomial_decay_when_mostly_feasible(self):
-        sched = EpsilonSchedule(eps_initial=4.0, cutoff=100, decay_power=2.0)
+        sched = EpsilonSchedule(eps_initial=4.0, cutoff=100)
         sched.level(0, 1.0)
         # k = 50 of 100 with quadratic decay: 4 * (1/2)^2 = 1
         assert sched.level(50, 1.0) == pytest.approx(1.0)
@@ -147,8 +164,58 @@ class TestEpsilonSchedule:
     def test_validation(self):
         with pytest.raises(ValueError):
             EpsilonSchedule(eps_initial=-0.1, cutoff=10)
-        with pytest.raises(ValueError):
-            EpsilonSchedule(eps_initial=1.0, cutoff=10, shrink=1.0)
         sched = EpsilonSchedule(eps_initial=1.0, cutoff=10)
         with pytest.raises(ValueError):
             sched.level(-1, 0.0)
+
+
+class TestReplayFromTrace:
+    """The phase switch and the relaxation levels of a run, recomputed in
+    plain Python from its trace with the formulas of the ``phases``
+    docstrings, equal the run's bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(pid=st.sampled_from(SUITE_IDS), dim=st.integers(2, 5),
+           algorithm=st.sampled_from(("pps-de", "sf-de", "eps-de")),
+           seed=st.integers(0, 2**16), period=st.integers(2, 10),
+           max_fes=st.integers(300, 3000))
+    def test_switch_and_levels_replay_from_the_trace(self, pid, dim, algorithm, seed, period,
+                                                     max_fes):
+        res = run(make_suite_problem(pid, dim),
+                  RunConfig(algorithm=algorithm, seed=seed, learning_period=period,
+                            max_fes=max_fes))
+        trace, n_gen = res.trace, res.generations
+        if algorithm == "sf-de":
+            assert res.switch_generation is None
+            assert list(trace.phase) == [SF] * n_gen
+            assert all(math.isnan(v) for v in trace.eps)
+            assert all(math.isnan(v) for v in trace.rate)
+            return
+
+        # the change rate and the switch, from the population minima
+        pull_start, switch = 0, None
+        if algorithm == "pps-de":
+            best = [float(v) for v in trace.pop_min_f]
+            rate = [1.0 if g < period
+                    else (best[g - period] - best[g]) / max(abs(best[g - period]), RATE_FLOOR)
+                    for g in range(n_gen)]
+            assert [float(v) for v in trace.rate] == rate
+            switch = next((g for g in range(n_gen) if rate[g] <= SWITCH_THRESHOLD), None)
+            pull_start = n_gen if switch is None else switch + 1
+        else:
+            assert all(math.isnan(v) for v in trace.rate)
+        assert res.switch_generation == switch
+        assert list(trace.phase) == [PUSH] * pull_start + [PULL] * (n_gen - pull_start)
+        assert list(trace.eps[:pull_start]) == [math.inf] * pull_start
+
+        # the levels, from the first pull generation's level and the feasible shares
+        cutoff = EPS_CUTOFF_FRACTION * n_gen
+        levels = [float(v) for v in trace.eps[pull_start:]]
+        for k in range(1, len(levels)):
+            if k >= cutoff:
+                expected = 0.0
+            elif float(trace.feasible_ratio[pull_start + k]) < FEASIBLE_TRIGGER:
+                expected = (1.0 - EPS_SHRINK) * levels[k - 1]
+            else:
+                expected = levels[0] * (1.0 - k / cutoff) ** DECAY_POWER
+            assert levels[k] == expected, f"pull generation {k}"

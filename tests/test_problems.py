@@ -62,6 +62,20 @@ class TestProblemConstruction:
         with pytest.raises(ValueError):
             Problem(dim=2, lower=1.0, upper=1.0, objective=lambda x: np.sum(x, axis=-1))
 
+    @pytest.mark.parametrize("lower,upper", [
+        (-np.inf, 1.0), (0.0, np.inf), (-np.inf, np.inf),
+        # finite bounds whose width overflows: rng.uniform cannot sample them
+        (-1e308, 1e308), ([0.0, -1e308], [1.0, 1e308]),
+    ])
+    def test_box_must_be_finite_with_a_finite_width(self, lower, upper):
+        with pytest.raises(ValueError, match="must be finite"):
+            Problem(dim=2, lower=lower, upper=upper, objective=lambda x: np.sum(x, axis=-1))
+
+    def test_widest_finite_box_can_be_sampled(self):
+        prob = Problem(dim=2, lower=-8e307, upper=8e307, objective=lambda x: np.sum(x, axis=-1))
+        x = np.random.default_rng(0).uniform(prob.lower, prob.upper, size=(4, 2))
+        assert np.isfinite(x).all()
+
     def test_sigma_must_be_nonnegative(self):
         with pytest.raises(ValueError):
             Problem(dim=2, lower=0.0, upper=1.0,

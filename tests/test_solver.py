@@ -403,12 +403,12 @@ class TestRunInvariants:
 
 
 def _count_calls(monkeypatch, owner, name, log, rows):
-    # wrap owner.name so that each call, once made, appends rows(*args) to log
+    # wrap owner.name so that each call, once made, appends rows(*args, **kwargs) to log
     real = getattr(owner, name)
 
-    def counted(*args):
-        out = real(*args)
-        log.append(rows(*args))
+    def counted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        log.append(rows(*args, **kwargs))
         return out
 
     monkeypatch.setattr(owner, name, counted)
@@ -457,6 +457,29 @@ class TestOffspringStep:
             np.testing.assert_array_equal(got, expected, err_msg=f"generation {generation}")
         np.testing.assert_array_equal(res.trace.sr, np.array(rates))
         np.testing.assert_array_equal(res.trace.wins, wins)
+
+    @pytest.mark.parametrize("force_win_strategy", [None, 1])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_one_key_evaluation_per_generation(self, monkeypatch, algorithm,
+                                               force_win_strategy):
+        """The phase key is evaluated once per generation, over the block of
+        the N members and the 3T + N - T trials; the race reads the top
+        trials' keys from it."""
+        calls = []
+        for name in ("eps_key", "sf_key"):
+            _count_calls(monkeypatch, solver, name, calls,
+                         lambda phi, f, eps=None, name=name: (name, len(phi)))
+        n_pop, top_size = 12, 6
+        res = run(make_suite_problem("P2", 3),
+                  RunConfig(algorithm=algorithm, seed=4, n_pop=n_pop, top_size=top_size,
+                            max_fes=1500, learning_period=4),
+                  force_win_strategy=force_win_strategy)
+        key = "sf_key" if algorithm == "sf-de" else "eps_key"
+        assert res.generations > 0
+        assert calls == [(key, n_pop + 3 * top_size + n_pop - top_size)] * res.generations
+        if algorithm == "pps-de":
+            # both phases evaluate the one key
+            assert set(res.trace.phase) == {PUSH, PULL}
 
 
 def _overflow_problem(magnitudes):
