@@ -44,11 +44,23 @@ _OVERRIDE_FIELDS = tuple(
 )
 # config file keys named after a flag that sets a RunConfig field
 _FLAG_KEYS = {"pop": "n_pop", "top": "top_size"}
+# each batch setting under its flag's dest, with its default and the type its
+# config-file value reads as; a tuple default marks a comma-separated list, and
+# a RunConfig field reads as a number
+_SETTINGS = {"problem": ((), str), "dim": ((10,), int), "algo": (("pps-de",), str),
+             "runs": (25, int), "seed": (0, int), "out": ("results", str), "workers": (1, int)}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentSpec:
-    """A fully resolved batch: problem instances, algorithms, seeds, output."""
+    """A batch: problem instances, algorithms, seeds, output.
+
+    Construction raises ValueError for a batch with no problem, a dimension
+    below 2, an unknown or repeated algorithm, a repeated (problem,
+    dimension) cell, or fewer than one run or worker.  Problem ids are kept
+    in their full form, so ``P1`` and ``P1-sphere-shifted`` are one cell.
+    The spec is frozen, so a checked batch stays checked.
+    """
 
     problems: tuple
     algorithms: tuple
@@ -57,6 +69,25 @@ class ExperimentSpec:
     out_dir: str
     overrides: dict
     workers: int = 1
+
+    def __post_init__(self):
+        cells = tuple((canonical_problem_id(p), dim) for p, dim in self.problems)
+        object.__setattr__(self, "problems", cells)
+        algos = self.algorithms
+        # a repeated cell would write its traces twice under one name
+        checks = (
+            (len(cells) >= 1, "at least one problem is required"),
+            (all(dim >= 2 for _, dim in cells), "every dimension must be >= 2"),
+            (set(algos) <= set(ALGORITHMS),
+             f"unknown algorithm in {algos}; choose from {ALGORITHMS}"),
+            (len(set(cells)) == len(cells), f"each cell may be given only once, got {cells}"),
+            (len(set(algos)) == len(algos), f"each algorithm may be given only once, got {algos}"),
+            (self.runs >= 1, "runs must be >= 1"),
+            (self.workers >= 1, "workers must be >= 1"),
+        )
+        for ok, message in checks:
+            if not ok:
+                raise ValueError(message)
 
 
 def build_parser():
@@ -70,14 +101,14 @@ def build_parser():
                       help="suite problem id (P1..P5 or full name); repeatable")
     runp.add_argument("--dim", action="append", type=int,
                       help="dimension, crossed with every problem; repeatable")
-    runp.add_argument("--algo", action="append", choices=ALGORITHMS,
-                      help="algorithm; repeatable")
+    runp.add_argument("--algo", action="append",
+                      help=f"algorithm, one of {', '.join(ALGORITHMS)}; repeatable")
     runp.add_argument("--runs", type=int, help="independent runs per cell")
     runp.add_argument("--seed", type=int, help="base seed; run i uses seed + i")
     runp.add_argument("--max-fes", dest="max_fes", type=int,
                       help="evaluation budget per run")
-    runp.add_argument("--pop", type=int, help="population size")
-    runp.add_argument("--top", type=int, help="top sub-population size")
+    runp.add_argument("--pop", dest="n_pop", type=int, help="population size")
+    runp.add_argument("--top", dest="top_size", type=int, help="top sub-population size")
     runp.add_argument("--out", help="output directory")
     runp.add_argument("--config", help="key = value config file; flags win")
     runp.add_argument("--workers", type=int, help="parallel cell workers")
@@ -109,15 +140,38 @@ def load_config_file(path):
     return values
 
 
-def _split_list(text):
-    return [part.strip() for part in str(text).split(",") if part.strip()]
+def _number(text):
+    """An int where the text is one, else a float."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
+def _file_value(parser, key, text):
+    """One config-file value read as its setting's type; a bad value exits 2."""
+    if key not in _SETTINGS and key not in _OVERRIDE_FIELDS:
+        parser.error(f"unknown config key {key!r}")
+    default, cast = _SETTINGS.get(key, (None, _number))
+    listed = isinstance(default, tuple)
+    parts = [p.strip() for p in text.split(",") if p.strip()] if listed else [text]
+    try:
+        values = tuple(map(cast, parts))
+    except ValueError:
+        kind = "an integer" if cast is int else "a number"
+        parser.error(f"config key {key!r} must be {kind}, got {text!r}")
+    return values if listed else values[0]
 
 
 def parse_args(argv):
-    """Resolve flags and the optional config file into an ExperimentSpec."""
+    """Resolve flags and the optional config file into an ExperimentSpec.
+
+    Each setting takes its flag if one is given, else its config-file value,
+    else its default.  Every file value is checked, also one that a flag
+    wins over, and the batch is checked by ExperimentSpec; bad usage exits 2.
+    """
     parser = build_parser()
     ns = parser.parse_args(argv)
-
     file_values = {}
     if ns.config:
         try:
@@ -125,85 +179,18 @@ def parse_args(argv):
         except (OSError, ValueError) as exc:
             parser.error(str(exc))
 
-    # reserved keys are always consumed from the file so a flag overriding
-    # one does not leave it behind as an unknown override
-    def setting(key, default):
-        return file_values.pop(key, default)
-
-    def file_int(key, text):
-        try:
-            return int(text)
-        except ValueError:
-            parser.error(f"config key {key!r} must be an integer, got {text!r}")
-
-    def file_number(key, text):
-        for cast in (int, float):
-            try:
-                return cast(text)
-            except ValueError:
-                pass
-        parser.error(f"config key {key!r} must be a number, got {text!r}")
-
-    file_problems = _split_list(setting("problem", ""))
-    file_dims = _split_list(setting("dim", "10"))
-    file_algos = _split_list(setting("algo", "pps-de"))
-    file_runs = setting("runs", 25)
-    file_seed = setting("seed", 0)
-    file_out = setting("out", "results")
-    file_workers = setting("workers", 1)
-
-    raw_problems = ns.problem if ns.problem else file_problems
-    if not raw_problems:
-        parser.error("at least one --problem is required")
+    s = {key: default for key, (default, _) in _SETTINGS.items()}
+    s.update((key, _file_value(parser, key, text)) for key, text in file_values.items())
+    s.update((key, value) for key, value in vars(ns).items()
+             if value is not None and key not in ("command", "config"))
+    overrides = {key: s.pop(key) for key in _OVERRIDE_FIELDS if key in s}
     try:
-        problem_ids = [canonical_problem_id(p) for p in raw_problems]
+        return ExperimentSpec(
+            problems=tuple((pid, dim) for pid in s["problem"] for dim in s["dim"]),
+            algorithms=tuple(s["algo"]), runs=s["runs"], base_seed=s["seed"],
+            out_dir=s["out"], overrides=overrides, workers=s["workers"])
     except ValueError as exc:
         parser.error(str(exc))
-
-    dims = ns.dim if ns.dim else [file_int("dim", v) for v in file_dims]
-    if any(d < 2 for d in dims):
-        parser.error("--dim must be >= 2")
-
-    algos = ns.algo if ns.algo else file_algos
-    for algo in algos:
-        if algo not in ALGORITHMS:
-            parser.error(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
-    # a repeated cell would write its traces twice under one name
-    for what, values in (("problem", problem_ids), ("dim", dims), ("algorithm", algos)):
-        if len(set(values)) < len(values):
-            parser.error(f"each {what} may be given only once, got {values}")
-
-    runs = ns.runs if ns.runs is not None else file_int("runs", file_runs)
-    if runs < 1:
-        parser.error("--runs must be >= 1")
-    seed = ns.seed if ns.seed is not None else file_int("seed", file_seed)
-    out_dir = ns.out if ns.out is not None else str(file_out)
-    workers = ns.workers if ns.workers is not None else file_int("workers", file_workers)
-    if workers < 1:
-        parser.error("--workers must be >= 1")
-
-    overrides = {}
-    for key, raw in file_values.items():
-        if key not in _OVERRIDE_FIELDS:
-            parser.error(f"unknown config key {key!r}")
-        overrides[key] = file_number(key, raw)
-    if ns.max_fes is not None:
-        overrides["max_fes"] = ns.max_fes
-    if ns.pop is not None:
-        overrides["n_pop"] = ns.pop
-    if ns.top is not None:
-        overrides["top_size"] = ns.top
-
-    instances = tuple((pid, dim) for pid in problem_ids for dim in dims)
-    return ExperimentSpec(
-        problems=instances,
-        algorithms=tuple(algos),
-        runs=runs,
-        base_seed=seed,
-        out_dir=out_dir,
-        overrides=overrides,
-        workers=workers,
-    )
 
 
 def _trace_name(problem_id, dim, algo, run_index):
@@ -254,11 +241,9 @@ def read_trace_csv(path):
 
 
 def _run_job(job):
-    problem_id, dim, algo, run_index, seed, overrides, out_dir = job
-    problem = make_suite_problem(problem_id, dim)
-    config = RunConfig(algorithm=algo, seed=seed, **overrides)
+    problem, config, path = job
     result = run(problem, config)
-    write_trace_csv(result, os.path.join(out_dir, _trace_name(problem_id, dim, algo, run_index)))
+    write_trace_csv(result, path)
     return float(result.best.f), float(result.best.phi)
 
 
@@ -269,19 +254,18 @@ def _cell_key(problem_id, dim, algo):
 def execute(spec):
     """Run the batch described by an ExperimentSpec; returns an exit code."""
     try:
-        # an invalid cell fails the batch before any output is written
+        # every run's config is resolved before any output, so an invalid
+        # one fails the batch without writing a file
+        jobs = []
         for pid, dim in spec.problems:
             problem = make_suite_problem(pid, dim)
             for algo in spec.algorithms:
-                _resolve(problem, RunConfig(algorithm=algo, seed=spec.base_seed,
-                                            **spec.overrides))
+                for i in range(spec.runs):
+                    config = RunConfig(algorithm=algo, seed=spec.base_seed + i, **spec.overrides)
+                    _resolve(problem, config)
+                    jobs.append((problem, config, os.path.join(
+                        spec.out_dir, _trace_name(pid, dim, algo, i))))
         os.makedirs(spec.out_dir, exist_ok=True)
-        jobs = [
-            (pid, dim, algo, i, spec.base_seed + i, spec.overrides, spec.out_dir)
-            for pid, dim in spec.problems
-            for algo in spec.algorithms
-            for i in range(spec.runs)
-        ]
         if spec.workers > 1:
             # imported here, since a serial batch needs no process pool
             from concurrent.futures import ProcessPoolExecutor
@@ -292,8 +276,9 @@ def execute(spec):
             outcomes = [_run_job(job) for job in jobs]
 
         cells = {}
-        for (pid, dim, algo, *_), (final_f, final_phi) in zip(jobs, outcomes):
-            cell = cells.setdefault(_cell_key(pid, dim, algo), {"final_f": [], "final_phi": []})
+        for (problem, config, _), (final_f, final_phi) in zip(jobs, outcomes):
+            key = _cell_key(problem.name, problem.dim, config.algorithm)
+            cell = cells.setdefault(key, {"final_f": [], "final_phi": []})
             cell["final_f"].append(final_f)
             cell["final_phi"].append(final_phi)
 

@@ -33,7 +33,6 @@ strategy statistics keep a running total over their window of win counts.
 from __future__ import annotations
 
 import enum
-import functools
 from collections import deque
 
 import numpy as np
@@ -318,15 +317,6 @@ def _three_distinct(targets, r0, r1, r2):
     return r0, r1, r2
 
 
-@functools.lru_cache(maxsize=16)
-def _draw_scales(n_pop, pool_size, dim):
-    # the number of choices of r0, r1, r2, the elite member and the forced
-    # crossover coordinate; read-only because every call shares it
-    scales = np.array((n_pop - 1, n_pop - 2, n_pop - 3, pool_size, dim), dtype=float)
-    scales.flags.writeable = False
-    return scales
-
-
 def make_trials(pop, targets, strategies, f, cr, pool_size, lower, upper, rng):
     """Trials for a set of target rows in one pass, each row under its own strategy.
 
@@ -353,8 +343,10 @@ def make_trials(pop, targets, strategies, f, cr, pool_size, lower, upper, rng):
     m = len(targets)
     n, d = pop.shape
     u = rng.random(m * (6 + d))
-    r0, r1, r2, elite, j_rand = (u[:5 * m].reshape(m, 5)
-                                 * _draw_scales(n, pool_size, d)).astype(np.intp).T
+    # the number of choices of r0, r1, r2, the elite member and the forced
+    # crossover coordinate
+    scales = np.array((n - 1, n - 2, n - 3, pool_size, d), dtype=float)
+    r0, r1, r2, elite, j_rand = (u[:5 * m].reshape(m, 5) * scales).astype(np.intp).T
     _three_distinct(targets, r0, r1, r2)
 
     rand_1, pbest, cur_rand = strategies == _STRATEGY_IDS

@@ -25,6 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = [
+    "BOUND_LIMIT",
     "EvaluationError",
     "Evaluation",
     "Individual",
@@ -36,6 +37,9 @@ __all__ = [
     "make_suite_problem",
     "overall_violation",
 ]
+
+# the largest magnitude of a box bound, a quarter of the largest double
+BOUND_LIMIT = float(np.finfo(float).max) / 4
 
 
 class EvaluationError(ValueError):
@@ -90,8 +94,10 @@ class Problem:
         Number of decision variables.
     lower, upper : float or array_like
         Box bounds, broadcast to shape ``(dim,)``.  Must satisfy
-        ``lower < upper`` in every coordinate, with finite bounds and a
-        finite width ``upper - lower``, so that the box can be sampled.
+        ``lower < upper`` in every coordinate, with every bound finite and
+        of magnitude at most ``BOUND_LIMIT`` (M), a quarter of the largest
+        double.  A trial's donor then stays within 3M and the sum in a
+        repair midpoint within 2M, so neither overflows.
     objective : callable
         Maps points to objective values, reducing over the last axis.
     inequalities : tuple of callables
@@ -129,11 +135,8 @@ class Problem:
         hi = np.broadcast_to(np.asarray(self.upper, dtype=float), (self.dim,)).copy()
         if not np.all(lo < hi):
             raise ValueError("every lower bound must be strictly below its upper bound")
-        with np.errstate(over="ignore"):
-            width = hi - lo
-        # an infinite bound gives an infinite width too
-        if not np.isfinite(width).all():
-            raise ValueError("every bound and every width upper - lower must be finite")
+        if not (np.maximum(np.abs(lo), np.abs(hi)) <= BOUND_LIMIT).all():
+            raise ValueError(f"every bound must be finite, of magnitude at most {BOUND_LIMIT:g}")
         lo.setflags(write=False)
         hi.setflags(write=False)
         object.__setattr__(self, "lower", lo)

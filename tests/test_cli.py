@@ -5,10 +5,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ppsde
 from ppsde.cli import (
@@ -21,10 +24,36 @@ from ppsde.cli import (
     read_trace_csv,
     write_trace_csv,
 )
-from ppsde.problems import make_suite_problem
-from ppsde.solver import RunConfig, run
+from ppsde.problems import canonical_problem_id, make_suite_problem
+from ppsde.solver import ALGORITHMS, RunConfig, run
 
 FAST = {"n_pop": 10, "top_size": 5, "max_fes": 210}
+
+
+# every setting a flag sets: its flag, its config-file spellings and its valid values
+FLAG_SETTINGS = {
+    "problem": ("--problem", ["problem"], st.lists(
+        st.sampled_from(["P1", "P2", "P3", "p4", "P5-rosenbrock-ball"]),
+        min_size=1, max_size=3, unique_by=canonical_problem_id)),
+    "dim": ("--dim", ["dim"], st.lists(st.integers(2, 60), min_size=1, max_size=3, unique=True)),
+    "algo": ("--algo", ["algo"], st.lists(st.sampled_from(ALGORITHMS), min_size=1, max_size=3,
+                                          unique=True)),
+    "runs": ("--runs", ["runs"], st.integers(1, 50)),
+    "seed": ("--seed", ["seed"], st.integers(0, 10**6)),
+    "out": ("--out", ["out"], st.text("abcxyz_/.", min_size=1, max_size=10)),
+    "workers": ("--workers", ["workers"], st.integers(1, 8)),
+    "max_fes": ("--max-fes", ["max-fes", "max_fes"], st.integers(1, 10**6)),
+    "n_pop": ("--pop", ["pop", "n_pop", "n-pop"], st.integers(1, 500)),
+    "top_size": ("--top", ["top", "top_size", "top-size"], st.integers(1, 500)),
+}
+# the RunConfig fields only a config file sets
+FILE_SETTINGS = {
+    "learning_period": st.integers(1, 100),
+    "sigma": st.floats(0.0, 1e3),
+    "eps_initial": st.floats(0.0, 1e6),
+}
+DEFAULTS = {"dim": [10], "algo": ["pps-de"], "runs": 25, "seed": 0, "out": "results",
+            "workers": 1}
 
 
 def fast_spec(out_dir, **kw):
@@ -101,6 +130,64 @@ class TestParseArgs:
             parse_args(argv)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("line, flag, error", [
+        ("runs = abc", "--runs 2", "'runs' must be an integer"),
+        ("dim = ten", "--dim 3", "'dim' must be an integer"),
+        ("dim = 3, ten", "--dim 3", "'dim' must be an integer"),
+        ("seed = 1.5", "--seed 1", "'seed' must be an integer"),
+        ("workers = two", "--workers 1", "'workers' must be an integer"),
+        ("max-fes = xyz", "--max-fes 500", "'max_fes' must be a number"),
+        ("pop = many", "--pop 12", "'n_pop' must be a number"),
+    ])
+    def test_malformed_config_value_exits_2_when_a_flag_wins(self, tmp_path, capsys, line,
+                                                            flag, error):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"problem = P1\n{line}\n")
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["run", "--config", str(cfg), *flag.split()])
+        assert exc.value.code == 2
+        assert f"config key {error}" in capsys.readouterr().err
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_flag_then_file_then_default(self, data):
+        """Each setting split at random between the flags and the file, some
+        in both, merges as the flag if given, else the file, else the
+        default; the overrides are the RunConfig fields either one gave."""
+        argv, lines, flags, files = ["run"], [], {}, {}
+        for key, (flag, spellings, values) in FLAG_SETTINGS.items():
+            sources = ["file", "flag", "both"] + ([] if key == "problem" else ["none"])
+            source = data.draw(st.sampled_from(sources), label=f"{key} source")
+            if source in ("file", "both"):
+                files[key] = data.draw(values, label=f"{key} file value")
+                text = files[key]
+                text = ", ".join(map(str, text)) if isinstance(text, list) else str(text)
+                lines.append(f"{data.draw(st.sampled_from(spellings))} = {text}")
+            if source in ("flag", "both"):
+                flags[key] = data.draw(values, label=f"{key} flag value")
+                for value in flags[key] if isinstance(flags[key], list) else [flags[key]]:
+                    argv += [flag, str(value)]
+        for key, values in FILE_SETTINGS.items():
+            if data.draw(st.booleans(), label=f"{key} in file"):
+                files[key] = data.draw(values, label=f"{key} file value")
+                lines.append(f"{key} = {files[key]!r}")
+        lines = data.draw(st.permutations(lines), label="file lines")
+
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp, "run.cfg")
+            cfg.write_text("".join(line + "\n" for line in lines))
+            spec = parse_args(argv + ["--config", str(cfg)])
+
+        want = {**DEFAULTS, **files, **flags}
+        assert spec.problems == tuple((canonical_problem_id(pid), dim)
+                                      for pid in want["problem"] for dim in want["dim"])
+        assert spec.algorithms == tuple(want["algo"])
+        assert (spec.runs, spec.base_seed, spec.out_dir, spec.workers) == (
+            want["runs"], want["seed"], want["out"], want["workers"])
+        assert spec.overrides == {key: want[key] for key in (*FILE_SETTINGS, "max_fes",
+                                                             "n_pop", "top_size")
+                                  if key in want}
+
     def test_repeated_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "twice.cfg"
         cfg.write_text("problem = P1\nruns = 3\nruns = 5\n")
@@ -163,6 +250,33 @@ class TestParseArgs:
             parse_args(["run", "--config", str(cfg), "--runs", "1", *argv])
         assert exc.value.code == 2
         assert "may be given only once" in capsys.readouterr().err
+
+
+class TestExperimentSpec:
+    @pytest.mark.parametrize("change, message", [
+        ({"problems": ()}, "at least one problem"),
+        ({"problems": (("P1-sphere-shifted", 1),)}, "every dimension must be >= 2"),
+        ({"problems": (("P9", 2),)}, "unknown problem id"),
+        ({"problems": (("P1-sphere-shifted", 2),) * 2}, "cell may be given only once"),
+        ({"problems": (("P1", 2), ("P1-sphere-shifted", 2))}, "cell may be given only once"),
+        ({"algorithms": ("pps-de", "nope")}, "unknown algorithm"),
+        ({"algorithms": ("pps-de", "sf-de", "pps-de")}, "algorithm may be given only once"),
+        ({"runs": 0}, "runs must be >= 1"),
+        ({"workers": 0}, "workers must be >= 1"),
+    ], ids=["no-problem", "dim-1", "unknown-problem", "repeated-cell", "repeated-short-id",
+            "unknown-algorithm", "repeated-algorithm", "runs-0", "workers-0"])
+    def test_an_invalid_batch_raises_value_error(self, tmp_path, change, message):
+        with pytest.raises(ValueError, match=message):
+            fast_spec(tmp_path, **change)
+
+    def test_a_checked_batch_cannot_be_changed(self, tmp_path):
+        spec = fast_spec(tmp_path)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.runs = 0
+
+    def test_problem_ids_are_kept_in_full(self, tmp_path):
+        spec = fast_spec(tmp_path, problems=(("p2", 3), ("P4-disconnected", 3)))
+        assert spec.problems == (("P2-active-linear", 3), ("P4-disconnected", 3))
 
 
 class TestConfigFile:

@@ -15,6 +15,7 @@ from ppsde import (
     make_suite_problem,
     overall_violation,
 )
+from ppsde.problems import BOUND_LIMIT
 
 
 class TestOverallViolation:
@@ -71,10 +72,14 @@ class TestProblemConstruction:
         with pytest.raises(ValueError, match="must be finite"):
             Problem(dim=2, lower=lower, upper=upper, objective=lambda x: np.sum(x, axis=-1))
 
-    def test_widest_finite_box_can_be_sampled(self):
-        prob = Problem(dim=2, lower=-8e307, upper=8e307, objective=lambda x: np.sum(x, axis=-1))
-        x = np.random.default_rng(0).uniform(prob.lower, prob.upper, size=(4, 2))
-        assert np.isfinite(x).all()
+    @pytest.mark.parametrize("lower,upper", [
+        (-8e307, 8e307), (-1.7e308, -1.6e308),
+        (BOUND_LIMIT, np.nextafter(BOUND_LIMIT, np.inf)),
+        (-np.nextafter(BOUND_LIMIT, np.inf), 0.0),
+    ], ids=["donor-overflow", "midpoint-overflow", "upper-above", "lower-below"])
+    def test_bound_beyond_the_limit_is_rejected(self, lower, upper):
+        with pytest.raises(ValueError, match="must be finite, of magnitude at most"):
+            Problem(dim=2, lower=lower, upper=upper, objective=lambda x: np.sum(x, axis=-1))
 
     def test_sigma_must_be_nonnegative(self):
         with pytest.raises(ValueError):

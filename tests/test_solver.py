@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from ppsde import solver
 from ppsde.de import ParameterMemory, StrategyStats
 from ppsde.phases import PULL, PUSH, SF
-from ppsde.problems import Problem, evaluate, make_suite_problem
+from ppsde.problems import BOUND_LIMIT, Problem, evaluate, make_suite_problem
 from ppsde.selection import (
     eps_key,
     key_less,
@@ -520,6 +520,23 @@ class TestOverflow:
             assert np.isfinite(res.trace.eps[pulling]).all()
             if algorithm == "eps-de":
                 assert pulling.all()
+
+    @pytest.mark.parametrize("lower, upper", [
+        (-BOUND_LIMIT, BOUND_LIMIT),
+        (-BOUND_LIMIT, -BOUND_LIMIT / 2),
+        (BOUND_LIMIT / 2, BOUND_LIMIT),
+    ], ids=["whole", "negative", "positive"])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_widest_boxes_run_without_overflow(self, lower, upper, algorithm):
+        """Trials and repairs on a box whose bounds reach BOUND_LIMIT raise
+        no RuntimeWarning; pytest turns one into an error."""
+        problem = Problem(dim=2, lower=lower, upper=upper,
+                          objective=lambda xs: xs.mean(axis=-1),
+                          inequalities=(lambda xs: xs[..., 1] - xs[..., 0],), name="widest")
+        for seed in range(3):
+            res = run(problem, RunConfig(algorithm=algorithm, seed=seed, max_fes=2000))
+            assert res.generations > 0 and np.isfinite(res.best.f)
+            assert np.all((lower <= res.best.x) & (res.best.x <= upper))
 
 
 class TestBaselines:
