@@ -57,7 +57,9 @@ class ExperimentSpec:
 
     Construction raises ValueError for a batch with no problem, a dimension
     below 2, an unknown or repeated algorithm, a repeated (problem,
-    dimension) cell, or fewer than one run or worker.  Problem ids are kept
+    dimension) cell, fewer than one run or worker, or an override key that
+    is not a ``RunConfig`` field other than ``algorithm`` and ``seed``,
+    which the batch sets itself.  Problem ids are kept
     in their full form, so ``P1`` and ``P1-sphere-shifted`` are one cell.
     The spec is frozen, so a checked batch stays checked.
     """
@@ -82,6 +84,8 @@ class ExperimentSpec:
              f"unknown algorithm in {algos}; choose from {ALGORITHMS}"),
             (len(set(cells)) == len(cells), f"each cell may be given only once, got {cells}"),
             (len(set(algos)) == len(algos), f"each algorithm may be given only once, got {algos}"),
+            (set(self.overrides) <= set(_OVERRIDE_FIELDS),
+             f"unknown override key in {tuple(self.overrides)}; choose from {_OVERRIDE_FIELDS}"),
             (self.runs >= 1, "runs must be >= 1"),
             (self.workers >= 1, "workers must be >= 1"),
         )
@@ -105,10 +109,10 @@ def build_parser():
                       help=f"algorithm, one of {', '.join(ALGORITHMS)}; repeatable")
     runp.add_argument("--runs", type=int, help="independent runs per cell")
     runp.add_argument("--seed", type=int, help="base seed; run i uses seed + i")
-    runp.add_argument("--max-fes", dest="max_fes", type=int,
+    runp.add_argument("--max-fes", dest="max_fes", type=number,
                       help="evaluation budget per run")
-    runp.add_argument("--pop", dest="n_pop", type=int, help="population size")
-    runp.add_argument("--top", dest="top_size", type=int, help="top sub-population size")
+    runp.add_argument("--pop", dest="n_pop", type=number, help="population size")
+    runp.add_argument("--top", dest="top_size", type=number, help="top sub-population size")
     runp.add_argument("--out", help="output directory")
     runp.add_argument("--config", help="key = value config file; flags win")
     runp.add_argument("--workers", type=int, help="parallel cell workers")
@@ -140,8 +144,8 @@ def load_config_file(path):
     return values
 
 
-def _number(text):
-    """An int where the text is one, else a float."""
+def number(text):
+    """An int where the text is one, else a float; argparse names it in its errors."""
     try:
         return int(text)
     except ValueError:
@@ -152,7 +156,7 @@ def _file_value(parser, key, text):
     """One config-file value read as its setting's type; a bad value exits 2."""
     if key not in _SETTINGS and key not in _OVERRIDE_FIELDS:
         parser.error(f"unknown config key {key!r}")
-    default, cast = _SETTINGS.get(key, (None, _number))
+    default, cast = _SETTINGS.get(key, (None, number))
     listed = isinstance(default, tuple)
     parts = [p.strip() for p in text.split(",") if p.strip()] if listed else [text]
     try:
@@ -247,8 +251,10 @@ def _run_job(job):
     return float(result.best.f), float(result.best.phi)
 
 
-def _cell_key(problem_id, dim, algo):
-    return f"{problem_id}/D{dim}/{algo}"
+def _write_json(path, record):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def execute(spec):
@@ -275,70 +281,52 @@ def execute(spec):
         else:
             outcomes = [_run_job(job) for job in jobs]
 
-        cells = {}
-        for (problem, config, _), (final_f, final_phi) in zip(jobs, outcomes):
-            key = _cell_key(problem.name, problem.dim, config.algorithm)
-            cell = cells.setdefault(key, {"final_f": [], "final_phi": []})
-            cell["final_f"].append(final_f)
-            cell["final_phi"].append(final_phi)
-
-        for key, cell in cells.items():
-            final_f = np.array(cell["final_f"])
-            final_phi = np.array(cell["final_phi"])
-            feasible = final_phi == 0.0
-            value, on_violation = cell_mean(final_f, final_phi)
-            stats_input = final_phi if on_violation else final_f[feasible]
-            s = summarize(stats_input)
-            cell.update(
-                feasibility_rate=float(np.mean(feasible)),
-                summary_on="violation" if on_violation else "objective",
-                cell_mean=value,
-                mean=s.mean, std=s.std, best=s.best, worst=s.worst, median=s.median,
-            )
-            print(f"{key}: {len(final_f)} runs, feasible {int(feasible.sum())}/{len(final_f)}, "
-                  f"{'violation' if on_violation else 'objective'} mean {s.mean:.6e}")
+        # the final (f, phi) of every run, in job order: problem, algorithm, run
+        finals = np.array(outcomes).reshape(len(spec.problems), len(spec.algorithms),
+                                            spec.runs, 2)
+        cells, means = {}, np.empty(finals.shape[:2])
+        for p, (pid, dim) in enumerate(spec.problems):
+            for a, algo in enumerate(spec.algorithms):
+                final_f, final_phi = finals[p, a].T
+                feasible = final_phi == 0.0
+                means[p, a], on_violation = cell_mean(final_f, final_phi)
+                s = summarize(final_phi if on_violation else final_f[feasible])
+                summary_on = "violation" if on_violation else "objective"
+                key = f"{pid}/D{dim}/{algo}"
+                cells[key] = dict(final_f=final_f.tolist(), final_phi=final_phi.tolist(),
+                                  feasibility_rate=float(np.mean(feasible)),
+                                  summary_on=summary_on, cell_mean=float(means[p, a]),
+                                  **s._asdict())
+                print(f"{key}: {spec.runs} runs, feasible {int(feasible.sum())}/{spec.runs}, "
+                      f"{summary_on} mean {s.mean:.6e}")
 
         friedman = None
         if len(spec.problems) >= 2 and len(spec.algorithms) >= 2:
-            matrix = [
-                [cells[_cell_key(pid, dim, algo)]["cell_mean"] for algo in spec.algorithms]
-                for pid, dim in spec.problems
-            ]
-            result = friedman_aligned(matrix)
+            result = friedman_aligned(means)
             friedman = {
                 "problems": [f"{pid}/D{dim}" for pid, dim in spec.problems],
                 "algorithms": list(spec.algorithms),
-                "matrix": [[float(v) for v in row] for row in matrix],
+                "matrix": means.tolist(),
                 "cells_on_violation": sorted(
-                    key for key, cell in cells.items() if cell["summary_on"] == "violation"
-                ),
-                "avg_ranks": {
-                    algo: float(result.avg_ranks[j])
-                    for j, algo in enumerate(spec.algorithms)
-                },
-                "statistic": float(result.statistic),
-                "p_value": float(result.p_value),
-                "significant_at_0.05": bool(result.p_value < 0.05),
+                    key for key, cell in cells.items() if cell["summary_on"] == "violation"),
+                "avg_ranks": dict(zip(spec.algorithms, result.avg_ranks.tolist())),
+                "statistic": result.statistic,
+                "p_value": result.p_value,
+                "significant_at_0.05": result.p_value < 0.05,
             }
-            with open(os.path.join(spec.out_dir, "friedman.json"), "w",
-                      encoding="utf-8") as fh:
-                json.dump(friedman, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            _write_json(os.path.join(spec.out_dir, "friedman.json"), friedman)
         else:
             print("friedman report skipped: needs at least 2 algorithms and 2 problems")
 
-        summary = {
+        _write_json(os.path.join(spec.out_dir, "summary.json"), {
             "problems": [[pid, dim] for pid, dim in spec.problems],
             "algorithms": list(spec.algorithms),
             "runs": spec.runs,
             "base_seed": spec.base_seed,
-            "overrides": {k: spec.overrides[k] for k in sorted(spec.overrides)},
+            "overrides": spec.overrides,
             "cells": cells,
             "friedman": friedman,
-        }
-        with open(os.path.join(spec.out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        })
         print(f"wrote {len(jobs)} traces and summary.json to {spec.out_dir}")
         return 0
     except Exception as exc:  # noqa: BLE001 - batch boundary, report and fail

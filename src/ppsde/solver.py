@@ -112,10 +112,11 @@ class RunConfig:
     """Algorithm selection and the settings a caller varies between runs.
 
     ``n_pop``, ``top_size`` and ``max_fes`` default to five times the
-    dimension, half the population and 20000 evaluations per dimension when
-    left as None.  ``sigma`` overrides the problem's equality tolerance when
-    set.  ``eps_initial`` overrides the violation-quantile start level of
-    the pull schedule when set.  The method's fixed constants are
+    dimension but at least 8, half the population and 20000 evaluations per
+    dimension when left as None; a population of 8 or more has a top part of
+    at least 4 at any dimension.  ``sigma`` overrides the problem's equality
+    tolerance when set.  ``eps_initial`` overrides the violation-quantile
+    start level of the pull schedule when set.  The method's fixed constants are
     ``SWITCH_THRESHOLD``, ``RATE_FLOOR``, ``EPS_QUANTILE``, ``EPS_SHRINK``,
     ``FEASIBLE_TRIGGER``, ``DECAY_POWER`` and ``EPS_CUTOFF_FRACTION`` in
     ``phases``, ``PBEST_FRACTION`` in ``de``, and the default memory length.
@@ -173,7 +174,7 @@ class RunResult:
 def _resolve(problem, config):
     if config.algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {config.algorithm!r}; choose from {ALGORITHMS}")
-    n = config.n_pop if config.n_pop is not None else 5 * problem.dim
+    n = config.n_pop if config.n_pop is not None else max(5 * problem.dim, 8)
     t = config.top_size if config.top_size is not None else n // 2
     fes = config.max_fes if config.max_fes is not None else 20000 * problem.dim
     period = config.learning_period

@@ -115,6 +115,29 @@ class TestParseArgs:
         assert spec.base_seed == 5
         assert spec.overrides == {"max_fes": 300, "eps_initial": 0.5}
 
+    @pytest.mark.parametrize("flag, key, text, value", [
+        ("--max-fes", "max-fes", "1e3", 1000.0),
+        ("--max-fes", "max_fes", "500", 500),
+        ("--pop", "pop", "1.2e1", 12.0),
+        ("--top", "top-size", "6", 6),
+        ("--top", "top", "2.5", 2.5),
+    ])
+    def test_flag_and_file_read_a_number_alike(self, tmp_path, flag, key, text, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"problem = P1\n{key} = {text}\n")
+        by_file = parse_args(["run", "--config", str(cfg)])
+        by_flag = parse_args(["run", "--problem", "P1", flag, text])
+        assert by_flag == by_file
+        (got,) = by_flag.overrides.values()
+        assert got == value and type(got) is type(value)
+
+    @pytest.mark.parametrize("flag", ["--max-fes", "--pop", "--top"])
+    def test_a_flag_that_is_not_a_number_exits_2(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["run", "--problem", "P1", flag, "many"])
+        assert exc.value.code == 2
+        assert "invalid number value: 'many'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["run"],
         ["run", "--problem", "P9"],
@@ -263,8 +286,11 @@ class TestExperimentSpec:
         ({"algorithms": ("pps-de", "sf-de", "pps-de")}, "algorithm may be given only once"),
         ({"runs": 0}, "runs must be >= 1"),
         ({"workers": 0}, "workers must be >= 1"),
+        ({"overrides": {"seed": 5}}, "unknown override key"),
+        ({"overrides": {"max_fes": 300, "bogus": 1}}, "unknown override key"),
     ], ids=["no-problem", "dim-1", "unknown-problem", "repeated-cell", "repeated-short-id",
-            "unknown-algorithm", "repeated-algorithm", "runs-0", "workers-0"])
+            "unknown-algorithm", "repeated-algorithm", "runs-0", "workers-0",
+            "override-seed", "override-unknown"])
     def test_an_invalid_batch_raises_value_error(self, tmp_path, change, message):
         with pytest.raises(ValueError, match=message):
             fast_spec(tmp_path, **change)
@@ -403,27 +429,48 @@ class TestExecute:
         assert "wrote 8 traces" in captured.out
 
     def test_summary_statistics_match_trace_files(self, tmp_path):
-        out = tmp_path / "batch"
-        assert execute(fast_spec(out)) == 0
-        summary = json.loads((out / "summary.json").read_text())
-        for (pid, dim) in (("P1-sphere-shifted", 2), ("P2-active-linear", 2)):
-            for algo in ("pps-de", "sf-de"):
-                cell = summary["cells"][f"{pid}/D{dim}/{algo}"]
-                short = pid.split("-")[0]
-                last_f, last_phi = [], []
-                for i in range(2):
-                    tr = read_trace_csv(str(out / f"{short}_d{dim}_{algo}_run{i:02d}.csv"))
-                    last_f.append(tr["best_f"][-1])
-                    last_phi.append(tr["best_phi"][-1])
-                last_f, last_phi = np.array(last_f), np.array(last_phi)
-                np.testing.assert_array_equal(cell["final_f"], last_f)
-                np.testing.assert_array_equal(cell["final_phi"], last_phi)
-                feasible = last_phi == 0.0
-                if cell["summary_on"] == "objective":
-                    assert cell["mean"] == np.mean(last_f[feasible])
-                    assert cell["feasibility_rate"] == np.mean(feasible)
-                else:
-                    assert cell["mean"] == np.mean(last_phi)
+        """Every cell record, the cells on violation and every Friedman
+        matrix entry equal what the run's trace CSVs give, so each sits at
+        its own problem and algorithm.  The second batch has cells of both
+        kinds: its P3 cells end infeasible and its P4 cells feasible."""
+        specs = [fast_spec(tmp_path / "fast"),
+                 fast_spec(tmp_path / "p3p4",
+                           problems=(("P3-equality", 2), ("P4-disconnected", 2)),
+                           algorithms=ALGORITHMS, runs=3, overrides={"max_fes": 200})]
+        for spec in specs:
+            assert execute(spec) == 0
+            out = Path(spec.out_dir)
+            summary = json.loads((out / "summary.json").read_text())
+            friedman = json.loads((out / "friedman.json").read_text())
+            assert summary["friedman"] == friedman
+            assert friedman["problems"] == [f"{pid}/D{dim}" for pid, dim in spec.problems]
+            assert friedman["algorithms"] == list(spec.algorithms)
+            assert len(summary["cells"]) == len(spec.problems) * len(spec.algorithms)
+            on_violation = []
+            for p, (pid, dim) in enumerate(spec.problems):
+                for a, algo in enumerate(spec.algorithms):
+                    key = f"{pid}/D{dim}/{algo}"
+                    short = pid.split("-")[0]
+                    traces = [read_trace_csv(str(out / f"{short}_d{dim}_{algo}_run{i:02d}.csv"))
+                              for i in range(spec.runs)]
+                    last_f = np.array([tr["best_f"][-1] for tr in traces])
+                    last_phi = np.array([tr["best_phi"][-1] for tr in traces])
+                    feasible = last_phi == 0.0
+                    sample = last_f[feasible] if feasible.any() else last_phi
+                    if not feasible.any():
+                        on_violation.append(key)
+                    assert summary["cells"][key] == {
+                        "final_f": last_f.tolist(), "final_phi": last_phi.tolist(),
+                        "feasibility_rate": np.mean(feasible),
+                        "summary_on": "objective" if feasible.any() else "violation",
+                        "cell_mean": np.mean(sample), "mean": np.mean(sample),
+                        "std": np.std(sample, ddof=1) if sample.size > 1 else 0.0,
+                        "best": sample.min(), "worst": sample.max(),
+                        "median": np.median(sample),
+                    }, key
+                    assert friedman["matrix"][p][a] == np.mean(sample), key
+            assert friedman["cells_on_violation"] == sorted(on_violation)
+        assert 0 < len(on_violation) < len(summary["cells"])
 
     def test_seed_derivation_matches_direct_run(self, tmp_path):
         out = tmp_path / "batch"

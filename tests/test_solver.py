@@ -41,6 +41,17 @@ class TestResolve:
         assert cfg.top_size == 25
         assert cfg.max_fes == 200000
 
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_defaults_run_a_one_dimensional_problem(self, algorithm):
+        """Five times D=1 is below the smallest top part, so the default
+        population is raised to 8, with a top part of 4."""
+        problem = Problem(dim=1, lower=-5.0, upper=5.0,
+                          objective=lambda xs: (xs**2).sum(axis=-1),
+                          inequalities=(lambda xs: 0.5 - xs[..., 0],), name="ray")
+        res = run(problem, RunConfig(algorithm=algorithm))
+        assert (res.config.n_pop, res.config.top_size, res.config.max_fes) == (8, 4, 20000)
+        assert res.best.phi == 0.0 and res.best.f == pytest.approx(0.25)
+
     def test_explicit_values_kept(self):
         prob = make_suite_problem("P1", 10)
         cfg = _resolve(prob, RunConfig(n_pop=30, top_size=12, max_fes=999))
