@@ -14,7 +14,6 @@ from .de import (
     Strategy,
     StrategyStats,
     pbest_pool_size,
-    repair_bounds,
 )
 from .phases import EpsilonSchedule, PhaseTracker
 from .problems import (
@@ -37,7 +36,7 @@ from .solver import (
 )
 from .stats import friedman_aligned, summarize
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "ALGORITHMS",
@@ -61,7 +60,6 @@ __all__ = [
     "make_suite_problem",
     "overall_violation",
     "pbest_pool_size",
-    "repair_bounds",
     "run",
     "summarize",
 ]

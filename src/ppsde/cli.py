@@ -17,7 +17,9 @@ import dataclasses
 import json
 import os
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -57,11 +59,13 @@ class ExperimentSpec:
 
     Construction raises ValueError for a batch with no problem, a dimension
     below 2, an unknown or repeated algorithm, a repeated (problem,
-    dimension) cell, fewer than one run or worker, or an override key that
+    dimension) cell, fewer than one run or worker, a dimension, run count
+    or worker count that is not a whole number, or an override key that
     is not a ``RunConfig`` field other than ``algorithm`` and ``seed``,
-    which the batch sets itself.  Problem ids are kept
-    in their full form, so ``P1`` and ``P1-sphere-shifted`` are one cell.
-    The spec is frozen, so a checked batch stays checked.
+    which the batch sets itself.  Problem ids are kept in their full form,
+    so ``P1`` and ``P1-sphere-shifted`` are one cell, and dimensions, runs
+    and workers as ints.  The spec is frozen and keeps a read-only copy of
+    the overrides, so a checked batch stays checked.
     """
 
     problems: tuple
@@ -69,16 +73,17 @@ class ExperimentSpec:
     runs: int
     base_seed: int
     out_dir: str
-    overrides: dict
+    overrides: Mapping
     workers: int = 1
 
     def __post_init__(self):
         cells = tuple((canonical_problem_id(p), dim) for p, dim in self.problems)
-        object.__setattr__(self, "problems", cells)
         algos = self.algorithms
-        # a repeated cell would write its traces twice under one name
+        # a repeated cell would write its traces twice under one name; every
+        # whole-number check is written so that NaN fails it
         checks = (
             (len(cells) >= 1, "at least one problem is required"),
+            (all(dim % 1 == 0 for _, dim in cells), "every dimension must be a whole number"),
             (all(dim >= 2 for _, dim in cells), "every dimension must be >= 2"),
             (set(algos) <= set(ALGORITHMS),
              f"unknown algorithm in {algos}; choose from {ALGORITHMS}"),
@@ -86,12 +91,18 @@ class ExperimentSpec:
             (len(set(algos)) == len(algos), f"each algorithm may be given only once, got {algos}"),
             (set(self.overrides) <= set(_OVERRIDE_FIELDS),
              f"unknown override key in {tuple(self.overrides)}; choose from {_OVERRIDE_FIELDS}"),
+            (self.runs % 1 == 0, "runs must be a whole number"),
             (self.runs >= 1, "runs must be >= 1"),
+            (self.workers % 1 == 0, "workers must be a whole number"),
             (self.workers >= 1, "workers must be >= 1"),
         )
         for ok, message in checks:
             if not ok:
                 raise ValueError(message)
+        object.__setattr__(self, "problems", tuple((p, int(dim)) for p, dim in cells))
+        object.__setattr__(self, "runs", int(self.runs))
+        object.__setattr__(self, "workers", int(self.workers))
+        object.__setattr__(self, "overrides", MappingProxyType(dict(self.overrides)))
 
 
 def build_parser():
@@ -323,7 +334,7 @@ def execute(spec):
             "algorithms": list(spec.algorithms),
             "runs": spec.runs,
             "base_seed": spec.base_seed,
-            "overrides": spec.overrides,
+            "overrides": dict(spec.overrides),
             "cells": cells,
             "friedman": friedman,
         })

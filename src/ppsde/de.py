@@ -48,7 +48,6 @@ __all__ = [
     "make_trials",
     "pbest_pool_size",
     "rand_1_bin_batch",
-    "repair_bounds",
     "select_strategies",
 ]
 
@@ -240,18 +239,19 @@ class StrategyStats:
         """Per-strategy win totals over the window."""
         return self._total.copy()
 
-    def success_rates(self, generation):
-        """Per-strategy selection probabilities at the given generation.
+    def success_rates(self):
+        """Per-strategy selection probabilities from the recorded window.
 
-        Asked before generation G records its own wins, as ``solver.run``
-        does, this is SaDE's rule (Qin, Huang & Suganthan 2009): the
-        window holds generations G - window ... G - 1, one generation
-        behind the race of G.  Uniform while the window is still warming up
-        (generation below the window length) or when no wins have been
-        recorded; otherwise each strategy's share of the windowed wins.
+        Uniform while the window holds fewer than ``window`` records or no
+        wins; otherwise each strategy's share of the windowed wins.  Asked
+        before generation G records its own wins, as ``solver.run`` does,
+        this is SaDE's rule (Qin, Huang & Suganthan 2009): G records precede
+        G, so the rates are uniform while G < window and afterwards come
+        from generations G - window ... G - 1, one generation behind the
+        race of G.
         """
         n = len(STRATEGIES)
-        if generation < self.window:
+        if len(self._wins) < self.window:
             return np.full(n, 1.0 / n)
         total = self._total.sum()
         if total == 0:
@@ -288,15 +288,6 @@ def _repair(candidate, parent, lower, upper):
     if high.any():
         candidate = np.where(high, 0.5 * (upper + parent), candidate)
     return candidate
-
-
-def repair_bounds(candidate, parent, problem):
-    """Midpoint repair of a candidate against the problem's box bounds.
-
-    Always returns a new array, also when the candidate lies inside the box.
-    """
-    return _repair(np.array(candidate, dtype=float), np.asarray(parent, dtype=float),
-                   problem.lower, problem.upper)
 
 
 def _three_distinct(targets, r0, r1, r2):

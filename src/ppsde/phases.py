@@ -80,7 +80,8 @@ class EpsilonSchedule:
     ``eps_initial`` at k = 0 and zero from k = cutoff on.  In between it is
     ``(1 - EPS_SHRINK)`` times the last level while the feasible fraction is
     below ``FEASIBLE_TRIGGER``, else ``eps_initial * (1 - k / cutoff) ** DECAY_POWER``.
-    Levels are memoized per ``k``, which must never decrease between calls.
+    Each level depends on the one before it, so ``k`` starts from 0 or above
+    and strictly increases between calls.
     """
 
     def __init__(self, eps_initial, cutoff):
@@ -89,7 +90,7 @@ class EpsilonSchedule:
         self.eps_initial = float(eps_initial)
         self.cutoff = float(cutoff)
         self._level = self.eps_initial
-        self._last_k = None
+        self._last_k = -1
 
     @classmethod
     def from_violations(cls, violations, cutoff, eps_initial=None):
@@ -106,13 +107,8 @@ class EpsilonSchedule:
 
     def level(self, k, feasible_ratio):
         """Relaxation level at pull-generation ``k``."""
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        if self._last_k is not None:
-            if k < self._last_k:
-                raise ValueError("k must not decrease between calls")
-            if k == self._last_k:
-                return self._level
+        if k <= self._last_k:
+            raise ValueError(f"k must be >= 0 and above the last k, {self._last_k}")
         if k >= self.cutoff:
             level = 0.0
         elif k == 0:

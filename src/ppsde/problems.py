@@ -7,13 +7,12 @@ tolerance ``sigma``).  Violations aggregate into a single non-negative
 scalar: the sum of inequality excesses plus equality deviations beyond the
 tolerance.  A point is feasible exactly when that scalar is zero.
 
-Objective and constraint callables are expected to be numpy expressions that
-reduce over the last axis, so a whole batch of points with shape ``(m, dim)``
-can be evaluated in one call.  Callables that only handle a single point can
-be wrapped in a problem constructed with ``vectorized=False``.
-``evaluate_many`` writes each constraint into its column of a preallocated
-block and tests the objective and each block for finiteness once; only a
-batch that fails that test is searched for its first non-finite entry.
+Objective and constraint callables take a batch of points with shape
+``(m, dim)`` and return ``m`` values, reducing over the last axis, so a whole
+batch is evaluated in one call per callable.  ``evaluate_many`` writes each
+constraint into its column of a preallocated block and tests the objective
+and each block for finiteness once; only a batch that fails that test is
+searched for its first non-finite entry.
 """
 
 from __future__ import annotations
@@ -49,13 +48,10 @@ class EvaluationError(ValueError):
     ``index`` is the offending constraint index (0 for the objective).
     """
 
-    def __init__(self, kind, index, detail=""):
+    def __init__(self, kind, index):
         self.kind = kind
         self.index = index
-        msg = f"non-finite {kind} value at index {index}"
-        if detail:
-            msg = f"{msg} ({detail})"
-        super().__init__(msg)
+        super().__init__(f"non-finite {kind} value at index {index}")
 
 
 @dataclass(frozen=True)
@@ -99,19 +95,20 @@ class Problem:
         double.  A trial's donor then stays within 3M and the sum in a
         repair midpoint within 2M, so neither overflows.
     objective : callable
-        Maps points to objective values, reducing over the last axis.
+        Maps a batch of points of shape ``(m, dim)`` to ``m`` objective
+        values, reducing over the last axis.
     inequalities : tuple of callables
-        Each satisfied when its value is <= 0.
+        Batch callables like ``objective``; each is satisfied when its
+        value is <= 0.
     equalities : tuple of callables
-        Each satisfied when its magnitude is <= ``sigma``.
+        Batch callables like ``objective``; each is satisfied when its
+        magnitude is <= ``sigma``.
     sigma : float
         Equality tolerance, >= 0.
     known_optimum : float, optional
         Reference objective value for benchmark reporting.
     known_optimizer : array_like, optional
         A point attaining ``known_optimum``, for diagnostics.
-    vectorized : bool
-        Whether callables accept batches of shape ``(m, dim)``.
     """
 
     dim: int
@@ -124,7 +121,6 @@ class Problem:
     known_optimum: float | None = None
     known_optimizer: np.ndarray | None = None
     name: str = ""
-    vectorized: bool = True
 
     def __post_init__(self):
         if self.dim < 1:
@@ -200,14 +196,10 @@ def evaluate_many(problem, xs):
         raise ValueError(f"expected points of shape (m, {problem.dim})")
     m = xs.shape[0]
 
-    if problem.vectorized:
-        def column(fn):
-            return np.asarray(fn(xs), dtype=float).reshape(m)
-    else:
-        def column(fn):
-            return [float(fn(x)) for x in xs]
+    def column(fn):
+        return np.asarray(fn(xs), dtype=float).reshape(m)
 
-    f = np.asarray(column(problem.objective), dtype=float)
+    f = column(problem.objective)
     g = np.empty((m, len(problem.inequalities)))
     h = np.empty((m, len(problem.equalities)))
     for block, fns in ((g, problem.inequalities), (h, problem.equalities)):

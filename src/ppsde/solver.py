@@ -303,7 +303,7 @@ def run(problem, config, *, force_win_strategy=None):
         key = sf_key if mode == SF else partial(eps_key, eps=eps)
 
         # the bottom picks read the win window of the generations before this one
-        sr = stats.success_rates(generation)
+        sr = stats.success_rates()
         picks = select_strategies(sr, n_bottom, rng)
         strategies = np.concatenate((top_strategies, picks))
         f_param, cr_param = memory.sample_parameters_many(strategies, gen_cost, rng)

@@ -28,8 +28,6 @@ class FriedmanAligned(NamedTuple):
     avg_ranks: np.ndarray
     statistic: float
     p_value: float
-    n_problems: int
-    n_algorithms: int
 
 
 def summarize(values):
@@ -122,6 +120,4 @@ def friedman_aligned(cell_means):
         avg_ranks=ranks.mean(axis=0),
         statistic=statistic,
         p_value=p_value,
-        n_problems=n,
-        n_algorithms=k,
     )

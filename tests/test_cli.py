@@ -279,21 +279,45 @@ class TestExperimentSpec:
     @pytest.mark.parametrize("change, message", [
         ({"problems": ()}, "at least one problem"),
         ({"problems": (("P1-sphere-shifted", 1),)}, "every dimension must be >= 2"),
+        ({"problems": (("P1-sphere-shifted", 2.5),)}, "every dimension must be a whole number"),
+        ({"problems": (("P1-sphere-shifted", math.nan),)},
+         "every dimension must be a whole number"),
         ({"problems": (("P9", 2),)}, "unknown problem id"),
         ({"problems": (("P1-sphere-shifted", 2),) * 2}, "cell may be given only once"),
         ({"problems": (("P1", 2), ("P1-sphere-shifted", 2))}, "cell may be given only once"),
         ({"algorithms": ("pps-de", "nope")}, "unknown algorithm"),
         ({"algorithms": ("pps-de", "sf-de", "pps-de")}, "algorithm may be given only once"),
         ({"runs": 0}, "runs must be >= 1"),
+        ({"runs": 2.5}, "runs must be a whole number"),
         ({"workers": 0}, "workers must be >= 1"),
+        ({"workers": 1.5}, "workers must be a whole number"),
         ({"overrides": {"seed": 5}}, "unknown override key"),
         ({"overrides": {"max_fes": 300, "bogus": 1}}, "unknown override key"),
-    ], ids=["no-problem", "dim-1", "unknown-problem", "repeated-cell", "repeated-short-id",
-            "unknown-algorithm", "repeated-algorithm", "runs-0", "workers-0",
+    ], ids=["no-problem", "dim-1", "dim-fraction", "dim-nan", "unknown-problem",
+            "repeated-cell", "repeated-short-id", "unknown-algorithm", "repeated-algorithm",
+            "runs-0", "runs-fraction", "workers-0", "workers-fraction",
             "override-seed", "override-unknown"])
     def test_an_invalid_batch_raises_value_error(self, tmp_path, change, message):
         with pytest.raises(ValueError, match=message):
             fast_spec(tmp_path, **change)
+
+    def test_whole_numbers_are_stored_as_ints(self, tmp_path):
+        spec = fast_spec(tmp_path, problems=(("P1", 2.0), ("P2", np.int64(3))), runs=2.0,
+                         workers=np.float64(1.0))
+        assert spec.problems == (("P1-sphere-shifted", 2), ("P2-active-linear", 3))
+        values = (*(dim for _, dim in spec.problems), spec.runs, spec.workers)
+        assert all(type(v) is int for v in values)
+
+    def test_overrides_are_a_read_only_copy(self, tmp_path):
+        given = dict(FAST)
+        spec = fast_spec(tmp_path, runs=1, overrides=given)
+        with pytest.raises(TypeError):
+            spec.overrides["seed"] = 5
+        given["seed"] = 5  # a later change to the caller's dict does not reach the spec
+        assert spec.overrides == FAST
+        assert execute(spec) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["overrides"] == FAST
 
     def test_a_checked_batch_cannot_be_changed(self, tmp_path):
         spec = fast_spec(tmp_path)

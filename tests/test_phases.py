@@ -124,11 +124,11 @@ class TestEpsilonSchedule:
             assert all(b <= a for a, b in zip(levels, levels[1:]))
             assert levels[-1] == 0.0
 
-    def test_memoized_per_generation(self):
+    def test_a_repeated_k_raises(self):
         sched = EpsilonSchedule(eps_initial=4.0, cutoff=100)
-        first = sched.level(3, 0.0)
-        # asking again with a different feasible ratio must not change the level
-        assert sched.level(3, 1.0) == first
+        sched.level(3, 0.0)
+        with pytest.raises(ValueError):
+            sched.level(3, 1.0)
 
     def test_k_must_not_decrease(self):
         sched = EpsilonSchedule(eps_initial=4.0, cutoff=100)

@@ -142,10 +142,9 @@ class TestEvaluate:
            bad=st.lists(st.tuples(st.sampled_from(["objective", "inequality", "equality"]),
                                   st.integers(0, 5), st.integers(0, 2),
                                   st.sampled_from([np.nan, np.inf, -np.inf])),
-                        max_size=3),
-           vectorized=st.booleans())
-    @example(m=2, q=2, p=1, bad=[("inequality", 1, 1, -np.inf)], vectorized=True)
-    def test_nonfinite_report_matches_loop_reference(self, m, q, p, bad, vectorized):
+                        max_size=3))
+    @example(m=2, q=2, p=1, bad=[("inequality", 1, 1, -np.inf)])
+    def test_nonfinite_report_matches_loop_reference(self, m, q, p, bad):
         rng = np.random.default_rng(0)
         table = {"objective": rng.normal(size=(m, 1)), "inequality": rng.normal(size=(m, q)),
                  "equality": rng.normal(size=(m, p))}
@@ -170,7 +169,7 @@ class TestEvaluate:
         (objective,) = columns(table["objective"])
         prob = Problem(dim=2, lower=-1.0, upper=float(m), objective=objective,
                        inequalities=columns(table["inequality"]),
-                       equalities=columns(table["equality"]), vectorized=vectorized)
+                       equalities=columns(table["equality"]))
         xs = np.zeros((m, 2))
         xs[:, 0] = np.arange(m)
         if expected is None:
@@ -183,19 +182,6 @@ class TestEvaluate:
             with pytest.raises(EvaluationError) as err:
                 evaluate_many(prob, xs)
             assert (err.value.kind, err.value.index) == expected
-
-    def test_scalar_callables_via_vectorized_false(self):
-        vec = make_suite_problem("P2", 3)
-        scal = Problem(
-            dim=3, lower=-5.0, upper=5.0,
-            objective=lambda x: float(np.sum(x**2)),
-            inequalities=(lambda x: float(1.0 - np.sum(x)),),
-            vectorized=False,
-        )
-        rng = np.random.default_rng(3)
-        xs = rng.uniform(-5, 5, (20, 3))
-        for a, b in zip(evaluate_many(vec, xs), evaluate_many(scal, xs)):
-            assert_allclose(a, b)
 
     def test_batch_matches_single(self):
         prob = make_suite_problem("P5", 4)
