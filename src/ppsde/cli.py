@@ -18,7 +18,7 @@ import json
 import os
 import sys
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
@@ -44,28 +44,50 @@ TRACE_COLUMNS = ("generation", "fes", "best_f", "best_phi", "phase", "eps_k",
 _OVERRIDE_FIELDS = tuple(
     f.name for f in dataclasses.fields(RunConfig) if f.name not in ("algorithm", "seed")
 )
-# config file keys named after a flag that sets a RunConfig field
-_FLAG_KEYS = {"pop": "n_pop", "top": "top_size"}
-# each batch setting under its flag's dest, with its default and the type its
-# config-file value reads as; a tuple default marks a comma-separated list, and
-# a RunConfig field reads as a number
-_SETTINGS = {"problem": ((), str), "dim": ((10,), int), "algo": (("pps-de",), str),
-             "runs": (25, int), "seed": (0, int), "out": ("results", str), "workers": (1, int)}
+
+
+def number(text):
+    """An int where the text is one, else a float; argparse names it in its errors."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
+# each flag under its dest: the flag, its default, the type that both the flag
+# and its config-file value read as, and its help; a tuple default marks a
+# repeatable flag and a comma-separated file value, and a None default leaves
+# a RunConfig field unset; a RunConfig field without a flag reads as a number
+_SETTINGS = {
+    "problem": ("--problem", (), str, "suite problem id (P1..P5 or full name); repeatable"),
+    "dim": ("--dim", (10,), int, "dimension, crossed with every problem; repeatable"),
+    "algo": ("--algo", ("pps-de",), str,
+             f"algorithm, one of {', '.join(ALGORITHMS)}; repeatable"),
+    "runs": ("--runs", 25, int, "independent runs per cell"),
+    "seed": ("--seed", 0, int, "base seed; run i uses seed + i"),
+    "max_fes": ("--max-fes", None, number, "evaluation budget per run"),
+    "n_pop": ("--pop", None, number, "population size"),
+    "top_size": ("--top", None, number, "top sub-population size"),
+    "out": ("--out", "results", str, "output directory"),
+    "workers": ("--workers", 1, int, "parallel cell workers"),
+}
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A batch: problem instances, algorithms, seeds, output.
+    """A batch: problem instances, algorithms, seeds, output, and its runs.
 
-    Construction raises ValueError for a batch with no problem, a dimension
-    below 2, an unknown or repeated algorithm, a repeated (problem,
-    dimension) cell, fewer than one run or worker, a dimension, run count
-    or worker count that is not a whole number, or an override key that
-    is not a ``RunConfig`` field other than ``algorithm`` and ``seed``,
-    which the batch sets itself.  Problem ids are kept in their full form,
-    so ``P1`` and ``P1-sphere-shifted`` are one cell, and dimensions, runs
-    and workers as ints.  The spec is frozen and keeps a read-only copy of
-    the overrides, so a checked batch stays checked.
+    Construction raises ValueError for a batch with no problem or no
+    algorithm, a dimension below 2 or not a whole number, a repeated
+    algorithm or (problem, dimension) cell, a run or worker count below 1
+    or not a whole number, or an override key that is not a ``RunConfig``
+    field other than ``algorithm`` and ``seed``.  It then resolves each
+    run's ``RunConfig`` as ``run`` would, so an unknown algorithm, a bad
+    base seed or an override that some cell cannot use raises too.
+    ``jobs`` holds each run's problem, resolved config and trace path, in
+    problem, algorithm, run order.  Problem ids are kept in full form, and
+    numbers as ints.  The spec is frozen and keeps a read-only copy of the
+    overrides, so a checked batch stays checked.
     """
 
     problems: tuple
@@ -75,6 +97,7 @@ class ExperimentSpec:
     out_dir: str
     overrides: Mapping
     workers: int = 1
+    jobs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cells = tuple((canonical_problem_id(p), dim) for p, dim in self.problems)
@@ -83,10 +106,9 @@ class ExperimentSpec:
         # whole-number check is written so that NaN fails it
         checks = (
             (len(cells) >= 1, "at least one problem is required"),
+            (len(algos) >= 1, "at least one algorithm is required"),
             (all(dim % 1 == 0 for _, dim in cells), "every dimension must be a whole number"),
             (all(dim >= 2 for _, dim in cells), "every dimension must be >= 2"),
-            (set(algos) <= set(ALGORITHMS),
-             f"unknown algorithm in {algos}; choose from {ALGORITHMS}"),
             (len(set(cells)) == len(cells), f"each cell may be given only once, got {cells}"),
             (len(set(algos)) == len(algos), f"each algorithm may be given only once, got {algos}"),
             (set(self.overrides) <= set(_OVERRIDE_FIELDS),
@@ -99,10 +121,20 @@ class ExperimentSpec:
         for ok, message in checks:
             if not ok:
                 raise ValueError(message)
-        object.__setattr__(self, "problems", tuple((p, int(dim)) for p, dim in cells))
-        object.__setattr__(self, "runs", int(self.runs))
+        problems, runs, jobs = tuple((p, int(dim)) for p, dim in cells), int(self.runs), []
+        for pid, dim in problems:
+            problem, short = make_suite_problem(pid, dim), pid.split("-")[0]
+            for algo in algos:
+                for i in range(runs):
+                    config = RunConfig(algorithm=algo, seed=self.base_seed + i, **self.overrides)
+                    path = os.path.join(self.out_dir, f"{short}_d{dim}_{algo}_run{i:02d}.csv")
+                    jobs.append((problem, _resolve(problem, config), path))
+        object.__setattr__(self, "problems", problems)
+        object.__setattr__(self, "runs", runs)
+        object.__setattr__(self, "base_seed", int(self.base_seed))
         object.__setattr__(self, "workers", int(self.workers))
         object.__setattr__(self, "overrides", MappingProxyType(dict(self.overrides)))
+        object.__setattr__(self, "jobs", tuple(jobs))
 
 
 def build_parser():
@@ -112,21 +144,10 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     runp = sub.add_parser("run", help="run a benchmark batch")
-    runp.add_argument("--problem", action="append",
-                      help="suite problem id (P1..P5 or full name); repeatable")
-    runp.add_argument("--dim", action="append", type=int,
-                      help="dimension, crossed with every problem; repeatable")
-    runp.add_argument("--algo", action="append",
-                      help=f"algorithm, one of {', '.join(ALGORITHMS)}; repeatable")
-    runp.add_argument("--runs", type=int, help="independent runs per cell")
-    runp.add_argument("--seed", type=int, help="base seed; run i uses seed + i")
-    runp.add_argument("--max-fes", dest="max_fes", type=number,
-                      help="evaluation budget per run")
-    runp.add_argument("--pop", dest="n_pop", type=number, help="population size")
-    runp.add_argument("--top", dest="top_size", type=number, help="top sub-population size")
-    runp.add_argument("--out", help="output directory")
+    for dest, (flag, default, cast, text) in _SETTINGS.items():
+        runp.add_argument(flag, dest=dest, type=cast, help=text,
+                          action="append" if isinstance(default, tuple) else "store")
     runp.add_argument("--config", help="key = value config file; flags win")
-    runp.add_argument("--workers", type=int, help="parallel cell workers")
     return parser
 
 
@@ -137,6 +158,8 @@ def load_config_file(path):
     settings they set, ``n_pop`` and ``top_size``.  A key that repeats after
     that raises ValueError naming the file and line.
     """
+    # a flag's name is a file key for its setting, such as pop for n_pop
+    aliases = {flag[2:].replace("-", "_"): dest for dest, (flag, *_) in _SETTINGS.items()}
     values, lines = {}, {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -147,7 +170,7 @@ def load_config_file(path):
             if not sep or not key.strip():
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             name = key.strip().replace("-", "_")
-            name = _FLAG_KEYS.get(name, name)
+            name = aliases.get(name, name)
             if name in values:
                 raise ValueError(f"{path}:{lineno}: {key.strip()!r} repeats the setting "
                                  f"{name!r} of line {lines[name]}")
@@ -155,19 +178,11 @@ def load_config_file(path):
     return values
 
 
-def number(text):
-    """An int where the text is one, else a float; argparse names it in its errors."""
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
-
-
 def _file_value(parser, key, text):
     """One config-file value read as its setting's type; a bad value exits 2."""
     if key not in _SETTINGS and key not in _OVERRIDE_FIELDS:
         parser.error(f"unknown config key {key!r}")
-    default, cast = _SETTINGS.get(key, (None, number))
+    default, cast = _SETTINGS[key][1:3] if key in _SETTINGS else (None, number)
     listed = isinstance(default, tuple)
     parts = [p.strip() for p in text.split(",") if p.strip()] if listed else [text]
     try:
@@ -194,7 +209,7 @@ def parse_args(argv):
         except (OSError, ValueError) as exc:
             parser.error(str(exc))
 
-    s = {key: default for key, (default, _) in _SETTINGS.items()}
+    s = {key: default for key, (_, default, _, _) in _SETTINGS.items() if default is not None}
     s.update((key, _file_value(parser, key, text)) for key, text in file_values.items())
     s.update((key, value) for key, value in vars(ns).items()
              if value is not None and key not in ("command", "config"))
@@ -206,11 +221,6 @@ def parse_args(argv):
             out_dir=s["out"], overrides=overrides, workers=s["workers"])
     except ValueError as exc:
         parser.error(str(exc))
-
-
-def _trace_name(problem_id, dim, algo, run_index):
-    short = problem_id.split("-")[0]
-    return f"{short}_d{dim}_{algo}_run{run_index:02d}.csv"
 
 
 def write_trace_csv(result, path):
@@ -269,28 +279,17 @@ def _write_json(path, record):
 
 
 def execute(spec):
-    """Run the batch described by an ExperimentSpec; returns an exit code."""
+    """Run a checked ExperimentSpec's jobs and report them; returns an exit code."""
     try:
-        # every run's config is resolved before any output, so an invalid
-        # one fails the batch without writing a file
-        jobs = []
-        for pid, dim in spec.problems:
-            problem = make_suite_problem(pid, dim)
-            for algo in spec.algorithms:
-                for i in range(spec.runs):
-                    config = RunConfig(algorithm=algo, seed=spec.base_seed + i, **spec.overrides)
-                    _resolve(problem, config)
-                    jobs.append((problem, config, os.path.join(
-                        spec.out_dir, _trace_name(pid, dim, algo, i))))
         os.makedirs(spec.out_dir, exist_ok=True)
         if spec.workers > 1:
             # imported here, since a serial batch needs no process pool
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-                outcomes = list(pool.map(_run_job, jobs))
+                outcomes = list(pool.map(_run_job, spec.jobs))
         else:
-            outcomes = [_run_job(job) for job in jobs]
+            outcomes = [_run_job(job) for job in spec.jobs]
 
         # the final (f, phi) of every run, in job order: problem, algorithm, run
         finals = np.array(outcomes).reshape(len(spec.problems), len(spec.algorithms),
@@ -338,7 +337,7 @@ def execute(spec):
             "cells": cells,
             "friedman": friedman,
         })
-        print(f"wrote {len(jobs)} traces and summary.json to {spec.out_dir}")
+        print(f"wrote {len(spec.jobs)} traces and summary.json to {spec.out_dir}")
         return 0
     except Exception as exc:  # noqa: BLE001 - batch boundary, report and fail
         print(f"error: {exc}", file=sys.stderr)

@@ -85,7 +85,7 @@ class EpsilonSchedule:
     """
 
     def __init__(self, eps_initial, cutoff):
-        if eps_initial < 0:
+        if not eps_initial >= 0:  # NaN fails too
             raise ValueError("eps_initial must be >= 0")
         self.eps_initial = float(eps_initial)
         self.cutoff = float(cutoff)

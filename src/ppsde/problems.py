@@ -87,7 +87,7 @@ class Problem:
     Parameters
     ----------
     dim : int
-        Number of decision variables.
+        Number of decision variables, a whole number kept as an int.
     lower, upper : float or array_like
         Box bounds, broadcast to shape ``(dim,)``.  Must satisfy
         ``lower < upper`` in every coordinate, with every bound finite and
@@ -123,10 +123,11 @@ class Problem:
     name: str = ""
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if self.sigma < 0:
+        if not (self.dim % 1 == 0 and self.dim >= 1):  # NaN fails both checks
+            raise ValueError("dim must be a whole number >= 1")
+        if not self.sigma >= 0:
             raise ValueError("sigma must be >= 0")
+        object.__setattr__(self, "dim", int(self.dim))
         lo = np.broadcast_to(np.asarray(self.lower, dtype=float), (self.dim,)).copy()
         hi = np.broadcast_to(np.asarray(self.upper, dtype=float), (self.dim,)).copy()
         if not np.all(lo < hi):

@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -7,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +28,7 @@ from ppsde.cli import (
     write_trace_csv,
 )
 from ppsde.problems import canonical_problem_id, make_suite_problem
-from ppsde.solver import ALGORITHMS, RunConfig, run
+from ppsde.solver import ALGORITHMS, RunConfig, _resolve, run
 
 FAST = {"n_pop": 10, "top_size": 5, "max_fes": 210}
 
@@ -122,14 +125,25 @@ class TestParseArgs:
         ("--top", "top-size", "6", 6),
         ("--top", "top", "2.5", 2.5),
     ])
-    def test_flag_and_file_read_a_number_alike(self, tmp_path, flag, key, text, value):
+    def test_flag_and_file_read_a_number_alike(self, tmp_path, capsys, flag, key, text, value):
+        """A flag and its file key read a number alike; a size that is not a
+        whole number then fails the batch check alike, with exit code 2."""
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"problem = P1\n{key} = {text}\n")
-        by_file = parse_args(["run", "--config", str(cfg)])
-        by_flag = parse_args(["run", "--problem", "P1", flag, text])
+        outcomes = []
+        for argv in (["run", "--config", str(cfg)], ["run", "--problem", "P1", flag, text]):
+            try:
+                outcomes.append(parse_args(argv))
+            except SystemExit as exc:
+                outcomes.append((exc.code, capsys.readouterr().err))
+        by_file, by_flag = outcomes
         assert by_flag == by_file
-        (got,) = by_flag.overrides.values()
-        assert got == value and type(got) is type(value)
+        if value % 1:
+            code, err = by_flag
+            assert code == 2 and "must be whole numbers" in err
+        else:
+            (got,) = by_flag.overrides.values()
+            assert got == value and type(got) is type(value)
 
     @pytest.mark.parametrize("flag", ["--max-fes", "--pop", "--top"])
     def test_a_flag_that_is_not_a_number_exits_2(self, capsys, flag):
@@ -147,6 +161,10 @@ class TestParseArgs:
         ["run", "--problem", "P1", "--workers", "0"],
         ["run", "--problem", "P1", "--no-such-flag"],
         ["nope"],
+        ["run", "--problem", "P1", "--algo", "pps-de", "--algo", "nope"],
+        ["run", "--problem", "P1", "--seed", "-1"],
+        ["run", "--problem", "P1", "--pop", "3"],
+        ["run", "--problem", "P1", "--max-fes", "5"],
     ])
     def test_bad_usage_exits_2(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -176,7 +194,9 @@ class TestParseArgs:
     def test_flag_then_file_then_default(self, data):
         """Each setting split at random between the flags and the file, some
         in both, merges as the flag if given, else the file, else the
-        default; the overrides are the RunConfig fields either one gave."""
+        default; the overrides are the RunConfig fields either one gave.
+        Merged settings that ExperimentSpec rejects, such as a top size above
+        the population, exit 2 with its message instead."""
         argv, lines, flags, files = ["run"], [], {}, {}
         for key, (flag, spellings, values) in FLAG_SETTINGS.items():
             sources = ["file", "flag", "both"] + ([] if key == "problem" else ["none"])
@@ -199,17 +219,74 @@ class TestParseArgs:
         with tempfile.TemporaryDirectory() as tmp:
             cfg = Path(tmp, "run.cfg")
             cfg.write_text("".join(line + "\n" for line in lines))
-            spec = parse_args(argv + ["--config", str(cfg)])
+            try:
+                with contextlib.redirect_stderr(io.StringIO()) as err:
+                    spec = parse_args(argv + ["--config", str(cfg)])
+            except SystemExit as exc:
+                spec = exc.code
 
         want = {**DEFAULTS, **files, **flags}
-        assert spec.problems == tuple((canonical_problem_id(pid), dim)
-                                      for pid in want["problem"] for dim in want["dim"])
+        problems = tuple((pid, dim) for pid in want["problem"] for dim in want["dim"])
+        overrides = {key: want[key] for key in (*FILE_SETTINGS, "max_fes", "n_pop", "top_size")
+                     if key in want}
+        if spec == 2:
+            with pytest.raises(ValueError) as rejected:
+                ExperimentSpec(problems=problems, algorithms=tuple(want["algo"]),
+                               runs=want["runs"], base_seed=want["seed"], out_dir=want["out"],
+                               overrides=overrides, workers=want["workers"])
+            assert f"error: {rejected.value}\n" in err.getvalue()
+            return
+        assert spec.problems == tuple((canonical_problem_id(pid), dim) for pid, dim in problems)
         assert spec.algorithms == tuple(want["algo"])
         assert (spec.runs, spec.base_seed, spec.out_dir, spec.workers) == (
             want["runs"], want["seed"], want["out"], want["workers"])
-        assert spec.overrides == {key: want[key] for key in (*FILE_SETTINGS, "max_fes",
-                                                             "n_pop", "top_size")
-                                  if key in want}
+        assert spec.overrides == overrides
+
+    @settings(max_examples=100, deadline=None)
+    @given(problems=st.lists(st.sampled_from(["P1", "p3", "P4-disconnected"]), min_size=1,
+                             max_size=2, unique_by=canonical_problem_id),
+           dims=st.lists(st.integers(2, 4), min_size=1, max_size=3, unique=True),
+           algos=st.lists(st.sampled_from(ALGORITHMS), min_size=1, max_size=3, unique=True),
+           runs=st.integers(1, 3), seed=st.integers(-2, 5),
+           pop=st.none() | st.integers(1, 60) | st.just(2.5),
+           top=st.none() | st.integers(1, 60) | st.just(2.5),
+           max_fes=st.none() | st.integers(1, 2000))
+    def test_a_batch_exits_2_or_holds_its_resolved_runs(self, problems, dims, algos, runs, seed,
+                                                       pop, top, max_fes):
+        """Every setting is checked when the spec is built: parse_args exits 2
+        and creates nothing, or the spec's jobs are the runs as ``run``
+        resolves them, in problem, algorithm, run order under their trace
+        names.  No run executes."""
+        given_sizes = {"n_pop": pop, "top_size": top, "max_fes": max_fes}
+        argv = ["run", "--runs", str(runs), "--seed", str(seed)]
+        argv += [arg for pid in problems for arg in ("--problem", pid)]
+        argv += [arg for dim in dims for arg in ("--dim", str(dim))]
+        argv += [arg for algo in algos for arg in ("--algo", algo)]
+        for flag, value in zip(("--pop", "--top", "--max-fes"), given_sizes.values()):
+            argv += [] if value is None else [flag, str(value)]
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch("ppsde.cli.run", side_effect=AssertionError("a run executed")):
+            out = Path(tmp, "out")
+            try:
+                spec = parse_args(argv + ["--out", str(out)])
+            except SystemExit as exc:
+                assert exc.code == 2
+                assert not out.exists()
+                return
+            assert not out.exists()
+
+        order = [(canonical_problem_id(pid), dim, algo, i)
+                 for pid in problems for dim in dims for algo in algos for i in range(runs)]
+        assert len(spec.jobs) == len(order)
+        for (problem, config, path), (pid, dim, algo, i) in zip(spec.jobs, order):
+            assert (problem.name, problem.dim) == (pid, dim)
+            assert (config.algorithm, config.seed) == (algo, seed + i)
+            assert all(getattr(config, key) == value
+                       for key, value in given_sizes.items() if value is not None)
+            assert all(type(getattr(config, key)) is int
+                       for key in ("seed", "n_pop", "top_size", "max_fes", "learning_period"))
+            assert _resolve(problem, config) == config
+            assert path == str(out / f"{pid.split('-')[0]}_d{dim}_{algo}_run{i:02d}.csv")
 
     def test_repeated_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "twice.cfg"
@@ -278,6 +355,7 @@ class TestParseArgs:
 class TestExperimentSpec:
     @pytest.mark.parametrize("change, message", [
         ({"problems": ()}, "at least one problem"),
+        ({"algorithms": ()}, "at least one algorithm"),
         ({"problems": (("P1-sphere-shifted", 1),)}, "every dimension must be >= 2"),
         ({"problems": (("P1-sphere-shifted", 2.5),)}, "every dimension must be a whole number"),
         ({"problems": (("P1-sphere-shifted", math.nan),)},
@@ -293,20 +371,42 @@ class TestExperimentSpec:
         ({"workers": 1.5}, "workers must be a whole number"),
         ({"overrides": {"seed": 5}}, "unknown override key"),
         ({"overrides": {"max_fes": 300, "bogus": 1}}, "unknown override key"),
-    ], ids=["no-problem", "dim-1", "dim-fraction", "dim-nan", "unknown-problem",
+        ({"base_seed": -1}, "seed must be a non-negative whole number"),
+        ({"base_seed": 1.5}, "seed must be a non-negative whole number"),
+        ({"base_seed": math.nan}, "seed must be a non-negative whole number"),
+        ({"overrides": {"n_pop": 3}}, "population size must be >= 4"),
+        ({"overrides": {"sigma": math.nan}}, "sigma must be >= 0"),
+    ], ids=["no-problem", "no-algorithm", "dim-1", "dim-fraction", "dim-nan", "unknown-problem",
             "repeated-cell", "repeated-short-id", "unknown-algorithm", "repeated-algorithm",
             "runs-0", "runs-fraction", "workers-0", "workers-fraction",
-            "override-seed", "override-unknown"])
+            "override-seed", "override-unknown", "seed-negative", "seed-fraction", "seed-nan",
+            "pop-3", "sigma-nan"])
     def test_an_invalid_batch_raises_value_error(self, tmp_path, change, message):
         with pytest.raises(ValueError, match=message):
             fast_spec(tmp_path, **change)
 
     def test_whole_numbers_are_stored_as_ints(self, tmp_path):
         spec = fast_spec(tmp_path, problems=(("P1", 2.0), ("P2", np.int64(3))), runs=2.0,
-                         workers=np.float64(1.0))
+                         workers=np.float64(1.0), base_seed=np.float64(4.0))
         assert spec.problems == (("P1-sphere-shifted", 2), ("P2-active-linear", 3))
-        values = (*(dim for _, dim in spec.problems), spec.runs, spec.workers)
+        assert spec.base_seed == 4
+        values = (*(dim for _, dim in spec.problems), spec.runs, spec.workers, spec.base_seed)
         assert all(type(v) is int for v in values)
+
+    def test_a_whole_float_base_seed_writes_the_same_summary(self, tmp_path):
+        spec = dict(problems=(("P1-sphere-shifted", 2),), algorithms=("pps-de",), runs=1)
+        assert execute(fast_spec(tmp_path / "int", base_seed=1, **spec)) == 0
+        assert execute(fast_spec(tmp_path / "float", base_seed=1.0, **spec)) == 0
+        summary = (tmp_path / "float" / "summary.json").read_bytes()
+        assert summary == (tmp_path / "int" / "summary.json").read_bytes()
+        assert b'"base_seed": 1,' in summary
+
+    def test_jobs_are_derived_not_compared(self, tmp_path):
+        spec = fast_spec(tmp_path)
+        assert len(spec.jobs) == 8 and "jobs=" not in repr(spec)
+        assert spec == fast_spec(tmp_path)
+        with pytest.raises(TypeError):
+            fast_spec(tmp_path, jobs=())
 
     def test_overrides_are_a_read_only_copy(self, tmp_path):
         given = dict(FAST)
@@ -533,13 +633,19 @@ class TestExecute:
             assert (a / name).read_bytes() == (c / name).read_bytes(), name
 
     def test_failure_returns_1(self, tmp_path, capsys):
-        spec = fast_spec(tmp_path / "x", overrides={"n_pop": 3})
-        assert execute(spec) == 1
+        # an invalid setting fails when the spec is built, so what execute
+        # reports is a failure while it runs, here an output path that is a file
+        blocked = tmp_path / "file"
+        blocked.write_text("")
+        assert execute(fast_spec(blocked)) == 1
         assert "error:" in capsys.readouterr().err
 
     def test_negative_seed_fails_before_any_output(self, tmp_path, capsys):
         out = tmp_path / "x"
-        assert execute(fast_spec(out, base_seed=-1)) == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--problem", "P1", "--dim", "2", "--runs", "1", "--seed", "-1",
+                  "--out", str(out)])
+        assert exc.value.code == 2
         assert "error: seed" in capsys.readouterr().err
         assert not out.exists()
 
@@ -547,10 +653,11 @@ class TestExecute:
         # a top part of 20 fits the D=10 population of 50 but not the D=2
         # population of 10
         out = tmp_path / "x"
-        spec = fast_spec(out, problems=(("P1-sphere-shifted", 10), ("P1-sphere-shifted", 2)),
-                         algorithms=("pps-de",), overrides={"top_size": 20, "max_fes": 300})
-        assert execute(spec) == 1
-        assert "error:" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--problem", "P1", "--dim", "10", "--dim", "2", "--runs", "2",
+                  "--top", "20", "--max-fes", "300", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "error: top size" in capsys.readouterr().err
         assert not out.exists()
 
     def test_main_raises_system_exit(self, tmp_path):

@@ -168,6 +168,10 @@ class TestEpsilonSchedule:
         with pytest.raises(ValueError):
             sched.level(-1, 0.0)
 
+    def test_a_nan_initial_level_is_rejected(self):
+        with pytest.raises(ValueError, match="eps_initial must be >= 0"):
+            EpsilonSchedule(eps_initial=math.nan, cutoff=10)
+
 
 class TestReplayFromTrace:
     """The phase switch and the relaxation levels of a run, recomputed in

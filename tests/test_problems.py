@@ -86,6 +86,25 @@ class TestProblemConstruction:
             Problem(dim=2, lower=0.0, upper=1.0,
                     objective=lambda x: np.sum(x, axis=-1), sigma=-1e-9)
 
+    def test_nan_sigma_is_rejected(self):
+        # a NaN tolerance would make every equality violation NaN
+        with pytest.raises(ValueError, match="sigma must be >= 0"):
+            Problem(dim=2, lower=0.0, upper=1.0,
+                    objective=lambda x: np.sum(x, axis=-1), sigma=np.nan)
+        with pytest.raises(ValueError, match="sigma must be >= 0"):
+            make_suite_problem("P3", 4).with_sigma(np.nan)
+
+    @pytest.mark.parametrize("dim", [2.5, np.nan, np.inf, 0])
+    def test_dim_must_be_a_whole_number_of_at_least_1(self, dim):
+        with pytest.raises(ValueError, match="dim must be a whole number >= 1"):
+            Problem(dim=dim, lower=0.0, upper=1.0, objective=lambda x: np.sum(x, axis=-1))
+
+    @pytest.mark.parametrize("dim", [2.0, np.float64(3.0), np.int64(4)])
+    def test_a_whole_dim_is_kept_as_an_int(self, dim):
+        prob = Problem(dim=dim, lower=0.0, upper=1.0, objective=lambda x: np.sum(x, axis=-1))
+        assert prob.dim == dim and type(prob.dim) is int
+        assert prob.lower.shape == (int(dim),)
+
     def test_bounds_broadcast_and_frozen(self):
         prob = Problem(dim=3, lower=-1.0, upper=2.0, objective=lambda x: np.sum(x, axis=-1))
         assert_array_equal(prob.lower, [-1.0, -1.0, -1.0])
