@@ -9,7 +9,6 @@ aligned-ranks comparison test are included.
 """
 
 from .de import (
-    STRATEGIES,
     ParameterMemory,
     Strategy,
     StrategyStats,
@@ -36,7 +35,7 @@ from .solver import (
 )
 from .stats import friedman_aligned, summarize
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "ALGORITHMS",
@@ -49,7 +48,6 @@ __all__ = [
     "Problem",
     "RunConfig",
     "RunResult",
-    "STRATEGIES",
     "SUITE_IDS",
     "Strategy",
     "StrategyStats",

@@ -138,6 +138,7 @@ class ExperimentSpec:
 
 
 def build_parser():
+    """The ``ppsde`` parser and its ``run`` subparser."""
     parser = argparse.ArgumentParser(
         prog="ppsde",
         description="Constrained differential evolution benchmark runner.",
@@ -148,7 +149,7 @@ def build_parser():
         runp.add_argument(flag, dest=dest, type=cast, help=text,
                           action="append" if isinstance(default, tuple) else "store")
     runp.add_argument("--config", help="key = value config file; flags win")
-    return parser
+    return parser, runp
 
 
 def load_config_file(path):
@@ -198,10 +199,11 @@ def parse_args(argv):
 
     Each setting takes its flag if one is given, else its config-file value,
     else its default.  Every file value is checked, also one that a flag
-    wins over, and the batch is checked by ExperimentSpec; bad usage exits 2.
+    wins over, and the batch is checked by ExperimentSpec; bad usage exits 2,
+    and an error found after argparse's own parsing prints ``ppsde run``'s usage.
     """
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    root, parser = build_parser()
+    ns = root.parse_args(argv)
     file_values = {}
     if ns.config:
         try:

@@ -33,12 +33,12 @@ strategy statistics keep a running total over their window of win counts.
 from __future__ import annotations
 
 import enum
+import math
 from collections import deque
 
 import numpy as np
 
 __all__ = [
-    "STRATEGIES",
     "ParameterMemory",
     "Strategy",
     "StrategyStats",
@@ -58,8 +58,7 @@ class Strategy(enum.IntEnum):
     CURRENT_TO_RAND = 2
 
 
-STRATEGIES = (Strategy.RAND_1_BIN, Strategy.CURRENT_TO_PBEST, Strategy.CURRENT_TO_RAND)
-_STRATEGY_IDS = np.arange(len(STRATEGIES))[:, None]  # compared with a row of strategies
+_STRATEGY_IDS = np.arange(len(Strategy))[:, None]  # compared with a row of strategies
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +115,7 @@ class ParameterMemory:
         if length < 1:
             raise ValueError("memory length must be >= 1")
         self.length = int(length)
-        n = len(STRATEGIES)
+        n = len(Strategy)
         self.f_memory = np.full((n, self.length), 0.5)
         self.cr_memory = np.full((n, self.length), 0.5)
         self.pointer = np.zeros(n, dtype=int)
@@ -164,7 +163,7 @@ class ParameterMemory:
             raise ValueError("successes must be aligned")
         if not (delta >= 0).all():  # written so that NaN fails it
             raise ValueError("improvement must be >= 0")
-        n = len(STRATEGIES)
+        n = len(Strategy)
         w, count = _keyed_weights(strategies, delta, n)
         wf = w * f
         lehmer_num = np.bincount(strategies, weights=wf * f, minlength=n)
@@ -223,12 +222,12 @@ class StrategyStats:
             raise ValueError("window must be >= 1")
         self.window = int(window)
         self._wins = deque()
-        self._total = np.zeros(len(STRATEGIES), dtype=int)
+        self._total = np.zeros(len(Strategy), dtype=int)
 
     def record_generation(self, counts):
         """Append one generation's per-strategy win counts."""
         counts = np.array(counts, dtype=int)
-        if counts.shape != (len(STRATEGIES),) or (counts < 0).any():
+        if counts.shape != (len(Strategy),) or (counts < 0).any():
             raise ValueError("expected one non-negative count per strategy")
         if len(self._wins) == self.window:
             self._total -= self._wins.popleft()
@@ -250,7 +249,7 @@ class StrategyStats:
         from generations G - window ... G - 1, one generation behind the
         race of G.
         """
-        n = len(STRATEGIES)
+        n = len(Strategy)
         if len(self._wins) < self.window:
             return np.full(n, 1.0 / n)
         total = self._total.sum()
@@ -263,7 +262,7 @@ def select_strategies(rates, size, rng):
     """Roulette-wheel draw of ``size`` strategy indices from per-strategy rates."""
     edges = np.add.accumulate(rates)
     picks = np.searchsorted(edges, rng.random(size), side="right")
-    return np.minimum(picks, len(STRATEGIES) - 1)
+    return np.minimum(picks, len(Strategy) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +273,7 @@ PBEST_FRACTION = 0.05  # the elite pool's share of the population
 
 def pbest_pool_size(n_pop):
     """Size of the elite pool: ``PBEST_FRACTION`` of ``n_pop``, round half up, never below one."""
-    return max(1, int(np.floor(PBEST_FRACTION * n_pop + 0.5)))
+    return max(1, math.floor(PBEST_FRACTION * n_pop + 0.5))
 
 
 def _repair(candidate, parent, lower, upper):
@@ -308,22 +307,23 @@ def _three_distinct(targets, r0, r1, r2):
     return r0, r1, r2
 
 
-def make_trials(pop, targets, strategies, f, cr, pool_size, lower, upper, rng):
+def make_trials(pop, targets, strategies, f, cr, lower, upper, rng):
     """Trials for a set of target rows in one pass, each row under its own strategy.
 
     ``targets``, ``strategies``, ``f`` and ``cr`` are aligned per-row arrays,
     and ``pop`` must be sorted best-first, since the elite pool is its head
-    ``pool_size`` rows.  Each row's indices r0, r1, r2 come from
-    ``_three_distinct``.  The donor is ``x_b + K (x_a - x_b) + F (x_r1 - x_r2)``:
-    rand/1 has base ``x_r0`` and K = 0; current-to-pbest/1 has the target as
-    base, a uniform elite member as ``x_a`` and K = F; current-to-rand/1 has
-    the target as base, ``x_a = x_r0`` and a uniform K in [0, 1).  Binomial
-    crossover with one guaranteed donor coordinate applies to the first two
-    strategies only, and midpoint repair follows.  Integer draws are floors
-    of uniform doubles, so each of k choices has probability 1/k to within
-    2**-52.  For m targets in d dimensions, every uniform double of the call
-    comes from one block of ``m * (6 + d)``: five index draws per row, then
-    the current-to-rand coefficients, then the crossover mask.
+    ``pbest_pool_size(len(pop))`` rows.  Each row's indices r0, r1, r2 come
+    from ``_three_distinct``.  The donor is
+    ``x_b + K (x_a - x_b) + F (x_r1 - x_r2)``: rand/1 has base ``x_r0`` and
+    K = 0; current-to-pbest/1 has the target as base, a uniform elite member
+    as ``x_a`` and K = F; current-to-rand/1 has the target as base,
+    ``x_a = x_r0`` and a uniform K in [0, 1).  Binomial crossover with one
+    guaranteed donor coordinate applies to the first two strategies only,
+    and midpoint repair follows.  Integer draws are floors of uniform
+    doubles, so each of k choices has probability 1/k to within 2**-52.
+    For m targets in d dimensions, every uniform double of the call comes
+    from one block of ``m * (6 + d)``: five index draws per row, then the
+    current-to-rand coefficients, then the crossover mask.
 
     The five operand row sets are gathered with one ``np.take`` into a fresh
     buffer, and the donor is built in place in the ``x_a`` rows of that
@@ -336,7 +336,7 @@ def make_trials(pop, targets, strategies, f, cr, pool_size, lower, upper, rng):
     u = rng.random(m * (6 + d))
     # the number of choices of r0, r1, r2, the elite member and the forced
     # crossover coordinate
-    scales = np.array((n - 1, n - 2, n - 3, pool_size, d), dtype=float)
+    scales = np.array((n - 1, n - 2, n - 3, pbest_pool_size(n), d), dtype=float)
     r0, r1, r2, elite, j_rand = (u[:5 * m].reshape(m, 5) * scales).astype(np.intp).T
     _three_distinct(targets, r0, r1, r2)
 
@@ -360,22 +360,23 @@ def make_trials(pop, targets, strategies, f, cr, pool_size, lower, upper, rng):
 
 def rand_1_bin_batch(pop, targets, f, cr, lower, upper, rng):
     """Random base plus one scaled difference, binomial crossover, repair."""
-    return make_trials(pop, targets, np.full_like(targets, Strategy.RAND_1_BIN), f, cr, 1,
+    return make_trials(pop, targets, np.full_like(targets, Strategy.RAND_1_BIN), f, cr,
                        lower, upper, rng)
 
 
-def current_to_pbest_batch(pop, targets, pool_size, f, cr, lower, upper, rng):
+def current_to_pbest_batch(pop, targets, f, cr, lower, upper, rng):
     """Move toward a random elite member plus one scaled difference.
 
-    ``pop`` must already be sorted best-first so the elite pool is its head.
-    Binomial crossover and midpoint repair follow; no archive is used.
+    ``pop`` must already be sorted best-first, since the elite pool is its
+    head ``pbest_pool_size(len(pop))`` rows.  Binomial crossover and
+    midpoint repair follow; no archive is used.
     """
     return make_trials(pop, targets, np.full_like(targets, Strategy.CURRENT_TO_PBEST), f, cr,
-                       pool_size, lower, upper, rng)
+                       lower, upper, rng)
 
 
 def current_to_rand_batch(pop, targets, f, lower, upper, rng):
     """Blend toward a random member plus one scaled difference; no crossover."""
     return make_trials(pop, targets, np.full_like(targets, Strategy.CURRENT_TO_RAND), f,
-                       np.ones(len(targets)), 1, lower, upper, rng)
+                       np.ones(len(targets)), lower, upper, rng)
 

@@ -35,7 +35,8 @@ class PhaseTracker:
 
     The change rate at generation G is ``(old - new) / max(|old|, RATE_FLOOR)``
     for the best objective ``new`` at G and ``old`` one learning period
-    earlier, and 1 until a full learning period of values exists.
+    earlier, and 1 until a full learning period of values exists.  The
+    phase is ``switch_generation``: None until the switch, then its generation.
     """
 
     def __init__(self, learning_period):
@@ -43,7 +44,6 @@ class PhaseTracker:
             raise ValueError("learning period must be >= 1")
         self.learning_period = int(learning_period)
         self.rate = 1.0
-        self.phase = PUSH
         self.switch_generation = None
         self._history = deque(maxlen=self.learning_period + 1)
         self._generation = None
@@ -66,8 +66,7 @@ class PhaseTracker:
         Returns True only on the single generation the switch happens; once
         in the pull phase this never fires again.
         """
-        if self.phase == PUSH and self.rate <= SWITCH_THRESHOLD:
-            self.phase = PULL
+        if self.switch_generation is None and self.rate <= SWITCH_THRESHOLD:
             self.switch_generation = self._generation
             return True
         return False

@@ -18,7 +18,7 @@ searched for its first non-finite entry.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -142,10 +142,6 @@ class Problem:
             opt = np.asarray(self.known_optimizer, dtype=float).reshape(self.dim)
             opt.setflags(write=False)
             object.__setattr__(self, "known_optimizer", opt)
-
-    def with_sigma(self, sigma):
-        """Copy of this problem with a different equality tolerance."""
-        return replace(self, sigma=float(sigma))
 
 
 def overall_violation(g_values, h_values, sigma):

@@ -64,14 +64,12 @@ run.  All three share the identical loop.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
-from .de import (  # noqa: F401 - the *_batch names stay bound for perfbench/tracing.py
-    STRATEGIES,
+from .de import (  # noqa: F401 - the names perfbench/tracing.py wraps stay bound
     ParameterMemory,
     StrategyStats,
     current_to_pbest_batch,
@@ -161,12 +159,17 @@ class RunTrace:
 
 @dataclass(frozen=True)
 class RunResult:
+    """One run's best point, trace, counts, switch generation and resolved config.
+
+    It holds no timing, so two runs of one config and problem are equal in
+    every field.
+    """
+
     best: Individual
     trace: RunTrace
     final_fes: int
     generations: int
     switch_generation: int | None
-    wall_time: float
     config: RunConfig
     problem_name: str
 
@@ -245,11 +248,10 @@ def run(problem, config, *, force_win_strategy=None):
     """
     cfg = _resolve(problem, config)
     if cfg.sigma is not None:
-        problem = problem.with_sigma(cfg.sigma)
+        problem = replace(problem, sigma=cfg.sigma)
     if force_win_strategy is not None and force_win_strategy not in (0, 1, 2):
         raise ValueError("force_win_strategy must be 0, 1 or 2")
 
-    started = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     n, t, d = cfg.n_pop, cfg.top_size, problem.dim
     n_bottom = n - t
@@ -271,10 +273,9 @@ def run(problem, config, *, force_win_strategy=None):
     tracker = PhaseTracker(cfg.learning_period)
     pull_start = 0 if cfg.algorithm == "eps-de" else None
 
-    pool = pbest_pool_size(n)
     # the trial rows: the 3t top trials (strategy-major), then the bottom ones
     targets = np.concatenate((np.tile(np.arange(t), 3), np.arange(t, n)))
-    top_strategies = np.repeat(np.arange(len(STRATEGIES)), t)
+    top_strategies = np.repeat(np.arange(3), t)
     member_rows = np.arange(n)
     # rows of the generation's block: the n members, then the trials
     top_rows = np.arange(n, n + t)
@@ -307,7 +308,7 @@ def run(problem, config, *, force_win_strategy=None):
         picks = select_strategies(sr, n_bottom, rng)
         strategies = np.concatenate((top_strategies, picks))
         f_param, cr_param = memory.sample_parameters_many(strategies, gen_cost, rng)
-        x = make_trials(pop, targets, strategies, f_param, cr_param, pool, lower, upper, rng)
+        x = make_trials(pop, targets, strategies, f_param, cr_param, lower, upper, rng)
         trial_f, trial_g, trial_h, trial_phi = evaluate_many(problem, x)
 
         block_f = np.concatenate((f, trial_f))
@@ -360,7 +361,6 @@ def run(problem, config, *, force_win_strategy=None):
         final_fes=n + gen_cost * n_gen,
         generations=n_gen,
         switch_generation=tracker.switch_generation,
-        wall_time=time.perf_counter() - started,
         config=cfg,
-        problem_name=problem.name or "problem",
+        problem_name=problem.name,
     )

@@ -45,9 +45,13 @@ FLAG_SETTINGS = {
     "seed": ("--seed", ["seed"], st.integers(0, 10**6)),
     "out": ("--out", ["out"], st.text("abcxyz_/.", min_size=1, max_size=10)),
     "workers": ("--workers", ["workers"], st.integers(1, 8)),
-    "max_fes": ("--max-fes", ["max-fes", "max_fes"], st.integers(1, 10**6)),
-    "n_pop": ("--pop", ["pop", "n_pop", "n-pop"], st.integers(1, 500)),
-    "top_size": ("--top", ["top", "top_size", "top-size"], st.integers(1, 500)),
+    # the sizes are drawn relative to each other, so that most merged batches
+    # pass ExperimentSpec's checks: a top size up to 10 fits every population,
+    # given or defaulted to max(5 * dim, 8) >= 10, and every budget covers
+    # every population; a top size of 11 to 16 still fails some batches
+    "max_fes": ("--max-fes", ["max-fes", "max_fes"], st.integers(500, 10**6)),
+    "n_pop": ("--pop", ["pop", "n_pop", "n-pop"], st.integers(10, 500)),
+    "top_size": ("--top", ["top", "top_size", "top-size"], st.integers(4, 16)),
 }
 # the RunConfig fields only a config file sets
 FILE_SETTINGS = {
@@ -170,6 +174,21 @@ class TestParseArgs:
         with pytest.raises(SystemExit) as exc:
             parse_args(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv, config", [
+        (["--pop", "3"], ""),
+        ([], "runs = abc\n"),
+        ([], "bogus = 1\n"),
+    ], ids=["batch", "file-value", "file-key"])
+    def test_an_error_after_parsing_prints_the_run_usage(self, tmp_path, capsys, argv, config):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["run", "--problem", "P1", "--config", str(cfg), *argv])
+        assert exc.value.code == 2
+        usage, _, error = capsys.readouterr().err.partition("ppsde run: error: ")
+        assert usage.startswith("usage: ppsde run ") and "--pop" in usage
+        assert error
 
     @pytest.mark.parametrize("line, flag, error", [
         ("runs = abc", "--runs 2", "'runs' must be an integer"),

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppsde.de import (
-    STRATEGIES,
     ParameterMemory,
     Strategy,
     StrategyStats,
@@ -19,6 +18,8 @@ from ppsde.de import (
     select_strategies,
 )
 from ppsde.problems import Problem
+
+from reference import fold_reference, trials_reference
 
 
 def box_problem(dim=3, lower=-5.0, upper=5.0):
@@ -121,7 +122,7 @@ class TestParameterMemory:
                                         st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1e3)),
                               min_size=1, max_size=30),
            cuts=st.lists(st.integers(0, 30), max_size=4),
-           strategy=st.sampled_from(STRATEGIES))
+           strategy=st.sampled_from(Strategy))
     def test_array_records_match_scalar_records_bit_for_bit(self, successes, cuts, strategy):
         f, cr, delta = (np.array(col) for col in zip(*successes))
         one_by_one, chunked = ParameterMemory(length=3), ParameterMemory(length=3)
@@ -205,31 +206,10 @@ class TestParameterMemory:
         # push the cells toward the edges to stress the truncation
         mem.f_memory[:] = rng.uniform(0.01, 1.0, size=mem.f_memory.shape)
         mem.cr_memory[:] = rng.uniform(0.0, 1.0, size=mem.cr_memory.shape)
-        for strategy in STRATEGIES:
+        for strategy in Strategy:
             f, cr = mem.sample_parameters_many(strategy, 20000, rng)
             assert np.all(f > 0.0) and np.all(f <= 1.0)
             assert np.all(cr >= 0.0) and np.all(cr <= 1.0)
-
-
-def _fold_reference(memory, strategies, f, cr, delta):
-    """Plain-Python fold: per strategy, sequential sums in input order."""
-    for s in range(len(STRATEGIES)):
-        rows = [i for i in range(len(strategies)) if strategies[i] == s]
-        if not rows:
-            continue
-        total = 0.0
-        for i in rows:
-            total += delta[i]
-        w = {i: (1.0 / len(rows) if total == 0.0 else delta[i] / total) for i in rows}
-        num = den = mean_cr = 0.0
-        for i in rows:
-            num += w[i] * f[i] * f[i]
-            den += w[i] * f[i]
-            mean_cr += w[i] * cr[i]
-        p = memory.pointer[s]
-        memory.f_memory[s, p] = num / den
-        memory.cr_memory[s, p] = mean_cr
-        memory.pointer[s] = (p + 1) % memory.length
 
 
 @st.composite
@@ -258,7 +238,7 @@ class TestKeyedFold:
         folded, reference = ParameterMemory(length=2), ParameterMemory(length=2)
         for keys, f, cr, delta in generations:
             folded.fold_successes(keys, f, cr, delta)
-            _fold_reference(reference, keys, f, cr, delta)
+            fold_reference(reference, keys, f, cr, delta)
         assert _memory_state(folded) == _memory_state(reference)
 
     @settings(max_examples=200, deadline=None)
@@ -280,10 +260,10 @@ class TestKeyedFold:
         folded, recorded = ParameterMemory(length=3), ParameterMemory(length=3)
         folded.fold_successes(keys, f, cr, delta)
         for part in np.split(np.arange(len(keys)), sorted(set(cuts))):
-            for s in STRATEGIES:
+            for s in Strategy:
                 mine = part[keys[part] == s]
                 recorded.record_success(s, f[mine], cr[mine], delta[mine])
-        for s in STRATEGIES:
+        for s in Strategy:
             recorded.update_memory(s)
         assert _memory_state(folded) == _memory_state(recorded)
 
@@ -315,7 +295,7 @@ class TestKeyedFold:
         folded, reference = ParameterMemory(length=3), ParameterMemory(length=3)
         folded.fold_successes(keys, f, cr, delta)
         overflowed = np.isin(keys, keys[infinite])
-        _fold_reference(reference, keys, f, cr,
+        fold_reference(reference, keys, f, cr,
                         np.where(overflowed, infinite.astype(float), delta))
         assert _memory_state(folded) == _memory_state(reference)
         assert np.isfinite(folded.f_memory).all() and np.isfinite(folded.cr_memory).all()
@@ -484,7 +464,7 @@ class TestTrialGeneration:
             cr = rng.random(len(pop))
             for trial in (
                 rand_1_bin_batch(pop, targets, f, cr, lower, upper, rng),
-                current_to_pbest_batch(pop, targets, 3, f, cr, lower, upper, rng),
+                current_to_pbest_batch(pop, targets, f, cr, lower, upper, rng),
                 current_to_rand_batch(pop, targets, f, lower, upper, rng),
             ):
                 assert np.all(trial >= lower) and np.all(trial <= upper)
@@ -518,18 +498,19 @@ class TestTrialGeneration:
         pop = rng.uniform(-5, 5, (8, 4))
         target, f, cr = np.array([2]), np.array([0.7]), np.array([0.5])
         a = rand_1_bin_batch(pop, target, f, cr, prob.lower, prob.upper, rng)
-        b = current_to_pbest_batch(pop, target, 2, f, cr, prob.lower, prob.upper, rng)
+        b = current_to_pbest_batch(pop, target, f, cr, prob.lower, prob.upper, rng)
         c = current_to_rand_batch(pop, target, f, prob.lower, prob.upper, rng)
         for trial in (a, b, c):
             assert trial.shape == (1, 4)
             assert np.all(trial >= prob.lower) and np.all(trial <= prob.upper)
 
     def test_pbest_donor_uses_elite_head(self):
-        # pool of one and F = 1, CR = 1: donor collapses to best + (r0 - r1)
+        # six members make a pool of one, and F = 1, CR = 1: the donor
+        # collapses to best + (r0 - r1)
         rng = np.random.default_rng(22)
         pop = self.rand_pop(rng, n=6)
         targets = np.array([3])
-        got = current_to_pbest_batch(pop, targets, 1, np.ones(1), np.ones(1),
+        got = current_to_pbest_batch(pop, targets, np.ones(1), np.ones(1),
                                      np.full(6, -50.0), np.full(6, 50.0), rng)[0]
         # x + 1 * (best - x) + 1 * (r0 - r1) = best + r0 - r1 for some valid r0, r1
         found = False
@@ -548,9 +529,9 @@ def trial_batches(draw):
     n = draw(st.integers(4, 60))
     m = draw(st.integers(1, 40))
     rows = st.lists(st.integers(0, n - 1), min_size=m, max_size=m)
-    kinds = st.lists(st.sampled_from([int(s) for s in STRATEGIES]), min_size=m, max_size=m)
+    kinds = st.lists(st.sampled_from([int(s) for s in Strategy]), min_size=m, max_size=m)
     return (n, draw(st.integers(1, 8)), np.array(draw(rows)), np.array(draw(kinds)),
-            draw(st.integers(1, n)), draw(st.integers(0, 2**32 - 1)))
+            draw(st.integers(0, 2**32 - 1)))
 
 
 class TestMakeTrials:
@@ -570,26 +551,45 @@ class TestMakeTrials:
 
     @settings(max_examples=100, deadline=None)
     @given(trial_batches())
+    def test_equals_the_per_row_reference_bit_for_bit(self, case):
+        """Every row, under any mix of strategies, equals the per-coordinate
+        reference built from the same uniform block; with 30 or more rows the
+        elite pool has more than one member."""
+        n, d, targets, strategies, seed = case
+        rng = np.random.default_rng(seed)
+        lower, upper = np.full(d, -1.0), np.full(d, 2.0)
+        pop = rng.uniform(lower, upper, (n, d))
+        m = len(targets)
+        f, cr = rng.uniform(0.01, 1.0, m), rng.random(m)
+        state = rng.bit_generator.state
+        got = make_trials(pop, targets, strategies, f, cr, lower, upper, rng)
+        rng.bit_generator.state = state
+        want = trials_reference(pop, targets, strategies, f, cr, rng.random(m * (6 + d)),
+                                lower, upper)
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(trial_batches())
     def test_trials_inside_the_box(self, case):
-        n, d, targets, strategies, pool, seed = case
+        n, d, targets, strategies, seed = case
         rng = np.random.default_rng(seed)
         lower, upper = np.full(d, -1.0), np.full(d, 2.0)
         pop = rng.uniform(lower, upper, (n, d))
         m = len(targets)
         trial = make_trials(pop, targets, strategies, rng.uniform(0.01, 1.0, m),
-                            rng.random(m), pool, lower, upper, rng)
+                            rng.random(m), lower, upper, rng)
         assert trial.shape == (m, d)
         assert np.all((trial >= lower) & (trial <= upper))
 
     @settings(max_examples=100, deadline=None)
     @given(trial_batches())
     def test_zero_crossover_changes_one_coordinate_except_current_to_rand(self, case):
-        n, d, targets, strategies, pool, seed = case
+        n, d, targets, strategies, seed = case
         rng = np.random.default_rng(seed)
         pop = rng.uniform(-5.0, 5.0, (n, d))
         m = len(targets)
         trial = make_trials(pop, targets, strategies, rng.uniform(0.1, 1.0, m), np.zeros(m),
-                            pool, np.full(d, -5.0), np.full(d, 5.0), rng)
+                            np.full(d, -5.0), np.full(d, 5.0), rng)
         changed = (trial != pop[targets]).sum(axis=1)
         binomial = strategies != Strategy.CURRENT_TO_RAND
         assert np.all(changed[binomial] == 1)
@@ -599,11 +599,11 @@ class TestMakeTrials:
     @settings(max_examples=100, deadline=None)
     @given(trial_batches())
     def test_zero_scale_full_crossover_copies_the_base_on_rand_1_rows(self, case):
-        n, d, targets, strategies, pool, seed = case
+        n, d, targets, strategies, seed = case
         rng = np.random.default_rng(seed)
         pop = rng.uniform(-5.0, 5.0, (n, d))
         m = len(targets)
-        trial = make_trials(pop, targets, strategies, np.zeros(m), np.ones(m), pool,
+        trial = make_trials(pop, targets, strategies, np.zeros(m), np.ones(m),
                             np.full(d, -5.0), np.full(d, 5.0), rng)
         for row in np.nonzero(strategies == Strategy.RAND_1_BIN)[0]:
             matches = np.nonzero((pop == trial[row]).all(axis=1))[0]
@@ -614,7 +614,7 @@ class TestMakeTrials:
         # e_r0 + e_r1 / 2 - e_r2 / 2, so the three roles decode exactly
         n, m, target = 6, 60000, 2
         trial = make_trials(np.eye(n), np.full(m, target), np.zeros(m, dtype=int),
-                            np.full(m, 0.5), np.ones(m), 1, np.full(n, -2.0), np.full(n, 2.0),
+                            np.full(m, 0.5), np.ones(m), np.full(n, -2.0), np.full(n, 2.0),
                             np.random.default_rng(23))
         assert np.all(np.sort(trial, axis=1) == [-0.5, 0, 0, 0, 0.5, 1.0])
         for value in (1.0, 0.5, -0.5):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -92,7 +94,7 @@ class TestProblemConstruction:
             Problem(dim=2, lower=0.0, upper=1.0,
                     objective=lambda x: np.sum(x, axis=-1), sigma=np.nan)
         with pytest.raises(ValueError, match="sigma must be >= 0"):
-            make_suite_problem("P3", 4).with_sigma(np.nan)
+            dataclasses.replace(make_suite_problem("P3", 4), sigma=np.nan)
 
     @pytest.mark.parametrize("dim", [2.5, np.nan, np.inf, 0])
     def test_dim_must_be_a_whole_number_of_at_least_1(self, dim):
@@ -111,12 +113,6 @@ class TestProblemConstruction:
         assert_array_equal(prob.upper, [2.0, 2.0, 2.0])
         with pytest.raises(ValueError):
             prob.lower[0] = 5.0
-
-    def test_with_sigma_copies(self):
-        prob = make_suite_problem("P3", 4)
-        loose = prob.with_sigma(0.01)
-        assert loose.sigma == 0.01 and prob.sigma == 1e-4
-        assert loose.name == prob.name
 
 
 class TestEvaluate:

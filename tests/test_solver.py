@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from ppsde import solver
 from ppsde.de import ParameterMemory, StrategyStats
 from ppsde.phases import PULL, PUSH, SF
-from ppsde.problems import BOUND_LIMIT, Problem, evaluate, make_suite_problem
+from ppsde.problems import BOUND_LIMIT, SUITE_IDS, Problem, evaluate, make_suite_problem
 from ppsde.selection import (
     eps_key,
     key_less,
@@ -25,6 +25,13 @@ from ppsde.selection import (
 from ppsde.solver import ALGORITHMS, RunConfig, _acceptance, _resolve, _top_race, run
 
 from conftest import EPS, F, PHI, random_pairs, sf_better_reference
+from reference import (
+    accept_reference,
+    delta_reference,
+    race_reference,
+    reference_run,
+    strictly_better,
+)
 
 
 def small_run(algorithm="pps-de", pid="P2", dim=3, seed=0, **kw):
@@ -114,32 +121,6 @@ def _key(mode, eps):
     return sf_key if mode == SF else lambda phi, f: eps_key(phi, f, eps)
 
 
-def _objective_decided(mode, phi_a, phi_b, eps):
-    # the reference: true where the mode's rule compares two points by
-    # objective, and the violation decides everywhere else
-    if mode == PUSH:
-        return np.ones(np.shape(phi_b), dtype=bool)
-    if mode == PULL:
-        return ((phi_b <= eps) & (phi_a <= eps)) | (phi_b == phi_a)
-    return (phi_a == 0.0) & (phi_b == 0.0)
-
-
-def _accept_reference(mode, phi_p, f_p, phi_t, f_t, eps):
-    return np.where(_objective_decided(mode, phi_p, phi_t, eps), f_t <= f_p, phi_t <= phi_p)
-
-
-def _delta_reference(mode, phi_p, f_p, phi_t, f_t, eps):
-    # the improvement on the criterion that decided the replacement
-    return np.where(_objective_decided(mode, phi_p, phi_t, eps),
-                    np.abs(f_p - f_t), np.abs(phi_p - phi_t))
-
-
-def _strictly_better(mode, phi_new, f_new, phi_old, f_old, eps):
-    # acceptance old -> new and not new -> old
-    return (_accept_reference(mode, phi_old, f_old, phi_new, f_new, eps)
-            & ~_accept_reference(mode, phi_new, f_new, phi_old, f_old, eps))
-
-
 class TestStrictlyBetter:
     @settings(max_examples=300, deadline=None)
     @given(pairs=st.lists(st.tuples(PHI, F, PHI, F), min_size=1, max_size=20),
@@ -157,16 +138,16 @@ class TestStrictlyBetter:
                                            ((phi_new, f_new), (phi_old, f_old))):
             with np.errstate(invalid="ignore"):  # inf - inf, where both phi are inf
                 accept, delta = _acceptance(key(phi_p, f_p), key(phi_t, f_t), phi_p, phi_t)
-                expected_delta = _delta_reference(mode, phi_p, f_p, phi_t, f_t, eps)
+                expected_delta = delta_reference(mode, phi_p, f_p, phi_t, f_t, eps)
             # the reference's improvement between two infinite violations is
             # |inf - inf| = NaN under sf; the keys tie there, and a tie improves by 0
             expected_delta[np.isnan(expected_delta)] = 0.0
-            expected = _accept_reference(mode, phi_p, f_p, phi_t, f_t, eps)
+            expected = accept_reference(mode, phi_p, f_p, phi_t, f_t, eps)
             np.testing.assert_array_equal(accept, expected)
             np.testing.assert_array_equal(delta, expected_delta)
             np.testing.assert_array_equal(
                 expected, PUBLIC_ACCEPT[mode](phi_p, f_p, phi_t, f_t, eps))
-        expected = _strictly_better(mode, phi_new, f_new, phi_old, f_old, eps)
+        expected = strictly_better(mode, phi_new, f_new, phi_old, f_old, eps)
         np.testing.assert_array_equal(key_less(key(phi_new, f_new), key(phi_old, f_old)),
                                       expected)
         if mode == SF:
@@ -201,21 +182,7 @@ class TestStrictlyBetter:
         key = _key(mode, eps)
         for a, b in (((phi_a, f_a), (phi_b, f_b)), ((phi_b, f_b), (phi_a, f_a))):
             np.testing.assert_array_equal(key_less(key(*a), key(*b)),
-                                          _strictly_better(mode, *a, *b, eps))
-
-
-def _race_reference(mode, phi, f, eps):
-    # per target: the earliest trial that no other trial beats, credited
-    # when it beats both others
-    winners, outright = [], []
-    for col in range(phi.shape[1]):
-        def better(j, k):
-            return bool(_strictly_better(mode, phi[j, col], f[j, col], phi[k, col], f[k, col],
-                                         eps))
-        best = next(j for j in range(3) if not any(better(k, j) for k in range(3) if k != j))
-        winners.append(best)
-        outright.append(all(better(best, k) for k in range(3) if k != best))
-    return np.array(winners), np.array(outright)
+                                          strictly_better(mode, *a, *b, eps))
 
 
 class TestTopRace:
@@ -236,7 +203,7 @@ class TestTopRace:
                 block[:, dst, col] = block[:, src, col]
         phi, f = block
         winner, outright = _top_race(*_key(mode, eps)(phi, f))
-        expected_winner, expected_outright = _race_reference(mode, phi, f, eps)
+        expected_winner, expected_outright = race_reference(mode, phi, f, eps)
         np.testing.assert_array_equal(winner, expected_winner)
         np.testing.assert_array_equal(outright, expected_outright)
 
@@ -380,14 +347,28 @@ class TestRunInvariants:
         assert res.trace.best_phi[-1] == res.best.phi
 
     def test_determinism(self):
+        """Two runs of one config are equal in every result and trace field."""
         a = small_run(pid="P3", dim=3, max_fes=3000, seed=7)
         b = small_run(pid="P3", dim=3, max_fes=3000, seed=7)
-        np.testing.assert_array_equal(a.trace.best_f, b.trace.best_f)
-        np.testing.assert_array_equal(a.trace.pop_min_f, b.trace.pop_min_f)
-        np.testing.assert_array_equal(a.trace.eps, b.trace.eps)
-        np.testing.assert_array_equal(a.trace.sr, b.trace.sr)
+        for field in dataclasses.fields(solver.RunTrace):
+            np.testing.assert_array_equal(getattr(a.trace, field.name),
+                                          getattr(b.trace, field.name), err_msg=field.name)
         np.testing.assert_array_equal(a.best.x, b.best.x)
-        assert a.final_fes == b.final_fes
+        for field in dataclasses.fields(a.best.evaluation):
+            np.testing.assert_array_equal(getattr(a.best.evaluation, field.name),
+                                          getattr(b.best.evaluation, field.name),
+                                          err_msg=field.name)
+        for field in dataclasses.fields(solver.RunResult):
+            if field.name not in ("best", "trace"):
+                assert getattr(a, field.name) == getattr(b, field.name), field.name
+
+    def test_sigma_override_applies_to_the_run_only(self):
+        problem = make_suite_problem("P3", 3)
+        res = run(problem, RunConfig(seed=12, max_fes=1500, sigma=0.5))
+        again = evaluate(dataclasses.replace(problem, sigma=0.5), res.best.x)
+        assert (again.f, again.phi) == (res.best.f, res.best.phi)
+        assert evaluate(problem, res.best.x).phi > res.best.phi
+        assert problem.sigma == 1e-4 and res.problem_name == problem.name
 
     def test_different_seeds_differ(self):
         a = small_run(pid="P3", dim=3, max_fes=2000, seed=8)
@@ -411,6 +392,36 @@ class TestRunInvariants:
         assert np.all(res.trace.wins.sum(axis=1) <= 8)
         assert np.all(res.trace.bottom_strategies == 0)
         np.testing.assert_array_equal(res.trace.fes, 8 + 24 * np.arange(1, res.generations + 1))
+
+
+class TestReferenceRun:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.integers(4, 12), dim=st.integers(2, 4),
+           algorithm=st.sampled_from(ALGORITHMS), pid=st.sampled_from(SUITE_IDS),
+           seed=st.integers(0, 2**32 - 1), learning_period=st.integers(2, 10),
+           sigma=st.none() | st.sampled_from([0.0, 1e-3, 0.5]),
+           eps_initial=st.none() | st.floats(0.0, 10.0))
+    def test_run_equals_the_per_member_reference_bit_for_bit(
+            self, data, n, dim, algorithm, pid, seed, learning_period, sigma, eps_initial):
+        """Thirty generations of run() equal the plain per-member reference in
+        every trace field, the best point and the switch generation."""
+        t = data.draw(st.integers(4, n), label="top_size")
+        config = RunConfig(algorithm=algorithm, seed=seed, n_pop=n, top_size=t,
+                           max_fes=n + 30 * (3 * t + n - t), learning_period=learning_period,
+                           sigma=sigma, eps_initial=eps_initial)
+        problem = make_suite_problem(pid, dim)
+        got, want = run(problem, config), reference_run(problem, config)
+        for field in dataclasses.fields(solver.RunTrace):
+            ours = getattr(got.trace, field.name)
+            theirs = np.array(want.trace[field.name], dtype=ours.dtype)
+            np.testing.assert_array_equal(ours, theirs, err_msg=field.name)
+            assert ours.tobytes() == theirs.tobytes(), field.name
+        x, evaluation = want.best
+        assert got.best.x.tobytes() == x.tobytes()
+        for field in dataclasses.fields(evaluation):
+            assert (np.asarray(getattr(got.best.evaluation, field.name)).tobytes()
+                    == np.asarray(getattr(evaluation, field.name)).tobytes()), field.name
+        assert got.switch_generation == want.switch_generation
 
 
 def _count_calls(monkeypatch, owner, name, log, rows):
