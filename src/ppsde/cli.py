@@ -25,7 +25,7 @@ import numpy as np
 
 from .problems import canonical_problem_id, make_suite_problem
 from .solver import ALGORITHMS, RunConfig, _resolve, run
-from .stats import cell_mean, friedman_aligned, summarize
+from .stats import cell_mean, friedman_aligned, friedman_matrix, summarize
 
 __all__ = [
     "ExperimentSpec",
@@ -69,7 +69,7 @@ _SETTINGS = {
     "n_pop": ("--pop", None, number, "population size"),
     "top_size": ("--top", None, number, "top sub-population size"),
     "out": ("--out", "results", str, "output directory"),
-    "workers": ("--workers", 1, int, "parallel cell workers"),
+    "workers": ("--workers", 1, int, "worker processes that the batch's runs are split across"),
 }
 
 
@@ -296,29 +296,32 @@ def execute(spec):
         # the final (f, phi) of every run, in job order: problem, algorithm, run
         finals = np.array(outcomes).reshape(len(spec.problems), len(spec.algorithms),
                                             spec.runs, 2)
-        cells, means = {}, np.empty(finals.shape[:2])
+        cells = {}
         for p, (pid, dim) in enumerate(spec.problems):
             for a, algo in enumerate(spec.algorithms):
                 final_f, final_phi = finals[p, a].T
                 feasible = final_phi == 0.0
-                means[p, a], on_violation = cell_mean(final_f, final_phi)
+                mean, on_violation = cell_mean(final_f, final_phi)
                 s = summarize(final_phi if on_violation else final_f[feasible])
                 summary_on = "violation" if on_violation else "objective"
                 key = f"{pid}/D{dim}/{algo}"
                 cells[key] = dict(final_f=final_f.tolist(), final_phi=final_phi.tolist(),
                                   feasibility_rate=float(np.mean(feasible)),
-                                  summary_on=summary_on, cell_mean=float(means[p, a]),
+                                  summary_on=summary_on, cell_mean=mean,
                                   **s._asdict())
                 print(f"{key}: {spec.runs} runs, feasible {int(feasible.sum())}/{spec.runs}, "
                       f"{summary_on} mean {s.mean:.6e}")
 
         friedman = None
         if len(spec.problems) >= 2 and len(spec.algorithms) >= 2:
-            result = friedman_aligned(means)
+            matrix, ranked = friedman_matrix(finals[..., 0], finals[..., 1])
+            result = friedman_aligned(matrix)
+            names = [f"{pid}/D{dim}" for pid, dim in spec.problems]
             friedman = {
-                "problems": [f"{pid}/D{dim}" for pid, dim in spec.problems],
+                "problems": names,
                 "algorithms": list(spec.algorithms),
-                "matrix": means.tolist(),
+                "matrix": matrix.tolist(),
+                "ranked_problems": [names[p] for p in ranked],
                 "cells_on_violation": sorted(
                     key for key, cell in cells.items() if cell["summary_on"] == "violation"),
                 "avg_ranks": dict(zip(spec.algorithms, result.avg_ranks.tolist())),

@@ -27,14 +27,13 @@ come as aligned arrays with a strategy key, and ``np.bincount`` over the
 key gives each strategy's sums.  ``bincount`` adds each key's entries in
 input order, so a strategy's new cells are sequential sums over its own
 successes and do not depend on the entries of any other key.  The
-strategy statistics keep a running total over their window of win counts.
+strategy statistics keep their window of win counts as one ring of rows.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from collections import deque
 
 import numpy as np
 
@@ -213,30 +212,29 @@ class ParameterMemory:
 class StrategyStats:
     """Sliding-window win counts and success rates for the three strategies.
 
-    The window total is kept running: each record adds its counts and
-    subtracts those of the record it evicts.
+    The window is a ``(window, 3)`` ring: record k overwrites row
+    ``k % window``, which holds record ``k - window``, so the window's
+    totals are the ring's column sums.
     """
 
     def __init__(self, window):
         if window < 1:
             raise ValueError("window must be >= 1")
         self.window = int(window)
-        self._wins = deque()
-        self._total = np.zeros(len(Strategy), dtype=int)
+        self._ring = np.zeros((self.window, len(Strategy)), dtype=int)
+        self._records = 0
 
     def record_generation(self, counts):
-        """Append one generation's per-strategy win counts."""
-        counts = np.array(counts, dtype=int)
+        """Record one generation's per-strategy win counts."""
+        counts = np.asarray(counts, dtype=int)
         if counts.shape != (len(Strategy),) or (counts < 0).any():
             raise ValueError("expected one non-negative count per strategy")
-        if len(self._wins) == self.window:
-            self._total -= self._wins.popleft()
-        self._wins.append(counts)
-        self._total += counts
+        self._ring[self._records % self.window] = counts
+        self._records += 1
 
     def windowed_wins(self):
         """Per-strategy win totals over the window."""
-        return self._total.copy()
+        return self._ring.sum(axis=0)
 
     def success_rates(self):
         """Per-strategy selection probabilities from the recorded window.
@@ -250,12 +248,11 @@ class StrategyStats:
         race of G.
         """
         n = len(Strategy)
-        if len(self._wins) < self.window:
+        wins = self.windowed_wins()
+        total = wins.sum()
+        if self._records < self.window or total == 0:
             return np.full(n, 1.0 / n)
-        total = self._total.sum()
-        if total == 0:
-            return np.full(n, 1.0 / n)
-        return self._total / total
+        return wins / total
 
 
 def select_strategies(rates, size, rng):

@@ -5,15 +5,24 @@ several algorithms over several problems using aligned ranks: observations
 are aligned by subtracting each problem's row mean, all aligned values are
 ranked jointly (average ranks on ties), and a chi-squared statistic over the
 column rank sums tests whether the algorithms perform equally.
+
+A batch's matrix for that test has one row per problem.  A row whose cells
+are feasible in every run, or in no run, holds the cell means.  Any other
+row mixes objectives with violations, so it holds its cells' average ranks
+in the order of the CEC 2017 constrained competition (Wu, Mallipeddi &
+Suganthan 2017): feasibility rate, higher first; then mean final violation
+over all runs; then mean final objective over the feasible runs.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["FriedmanAligned", "Summary", "cell_mean", "friedman_aligned", "summarize"]
+__all__ = ["FriedmanAligned", "Summary", "cell_mean", "friedman_aligned", "friedman_matrix",
+           "summarize"]
 
 
 class Summary(NamedTuple):
@@ -64,6 +73,30 @@ def cell_mean(final_f, final_phi):
     if feasible.any():
         return float(np.mean(final_f[feasible])), False
     return float(np.mean(final_phi)), True
+
+
+def friedman_matrix(final_f, final_phi):
+    """The aligned-ranks matrix of a batch and the indices of its ranked rows.
+
+    ``final_f`` and ``final_phi`` hold every run's final objective and
+    violation, shape (problems, algorithms, runs).  A problem whose cells
+    are feasible in every run, or in no run, gets its ``cell_mean`` values;
+    any other problem gets its cells' average ranks, feasibility first, as
+    the module docstring states, and is listed as ranked.
+    """
+    final_f = np.asarray(final_f, dtype=float)
+    final_phi = np.asarray(final_phi, dtype=float)
+    feasible = final_phi == 0.0
+    matrix = np.array([[cell_mean(f, phi)[0] for f, phi in zip(fs, phis)]
+                       for fs, phis in zip(final_f, final_phi)])
+    ranked = [p for p, ok in enumerate(feasible) if ok.any() and not ok.all()]
+    for p in ranked:
+        keys = [(-ok.mean(), phi.mean(), f[ok].mean() if ok.any() else math.inf)
+                for f, phi, ok in zip(final_f[p], final_phi[p], feasible[p])]
+        # 1 + the cells ahead + half the cells tied: the mean of the tied positions
+        matrix[p] = [1 + sum(k < key for k in keys) + (keys.count(key) - 1) / 2
+                     for key in keys]
+    return matrix, ranked
 
 
 def _average_ranks(values):

@@ -1,5 +1,7 @@
-"""The public names of the package and of each module resolve."""
+"""The public names of the package and of each module resolve, and each
+module uses what it imports."""
 
+import ast
 import importlib
 import os
 import re
@@ -24,6 +26,49 @@ def test_package_names_resolve():
 def test_module_names_resolve(name):
     module = importlib.import_module(f"ppsde.{name}")
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def _unused_imports(source):
+    """The names a module imports and never reads, outside ``__all__``.
+
+    ``from __future__`` imports and import statements with a line marked
+    ``# noqa`` are skipped.
+    """
+    tree, lines = ast.parse(source), source.splitlines()
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported.update(ast.literal_eval(node.value))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    imported = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in read and name not in exported)
+
+
+@pytest.mark.parametrize("path", sorted((Path(ppsde.__file__).parent).glob("*.py")),
+                         ids=lambda path: path.name)
+def test_every_import_is_used(path):
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_import_check_finds_an_unused_name():
+    source = ("from __future__ import annotations\n"
+              "import os, sys\n"
+              "from typing import Sequence  # noqa: F401\n"
+              "from json import dumps as to_json, loads\n"
+              "__all__ = ['loads']\n"
+              "print(sys.argv)\n")
+    assert _unused_imports(source) == [(2, "os"), (4, "to_json")]
 
 
 def test_version_matches_project_metadata():

@@ -615,6 +615,29 @@ class TestExecute:
             assert friedman["cells_on_violation"] == sorted(on_violation)
         assert 0 < len(on_violation) < len(summary["cells"])
 
+    def test_a_row_of_feasible_and_infeasible_cells_is_ranked_feasibility_first(self, tmp_path):
+        """On P3 D=5 at 3000 evaluations pps-de ends infeasible in all five
+        runs, the other two feasible in all five.  Its mean violation is
+        below their mean objectives, yet ranked feasibility first it comes
+        last on P3 and has the worst average rank; the P1 row, feasible in
+        every run, keeps its cell means."""
+        spec = fast_spec(tmp_path / "mixed", problems=(("P3", 5), ("P1", 5)),
+                         algorithms=ALGORITHMS, runs=5, overrides={"max_fes": 3000})
+        assert execute(spec) == 0
+        out = Path(spec.out_dir)
+        cells = json.loads((out / "summary.json").read_text())["cells"]
+        friedman = json.loads((out / "friedman.json").read_text())
+        p3 = [cells[f"P3-equality/D5/{algo}"] for algo in ALGORITHMS]
+        assert [c["feasibility_rate"] for c in p3] == [0.0, 1.0, 1.0]
+        assert p3[0]["cell_mean"] < min(p3[1]["cell_mean"], p3[2]["cell_mean"])
+        assert friedman["ranked_problems"] == ["P3-equality/D5"]
+        assert friedman["cells_on_violation"] == ["P3-equality/D5/pps-de"]
+        assert friedman["matrix"][0] == [3.0, 1.0, 2.0]
+        assert friedman["matrix"][1] == [cells[f"P1-sphere-shifted/D5/{algo}"]["cell_mean"]
+                                         for algo in ALGORITHMS]
+        ranks = friedman["avg_ranks"]
+        assert ranks["pps-de"] == max(ranks.values())
+
     def test_seed_derivation_matches_direct_run(self, tmp_path):
         out = tmp_path / "batch"
         spec = fast_spec(out, problems=(("P2-active-linear", 2),),

@@ -350,7 +350,7 @@ class TestStrategyStats:
     @given(window=st.integers(1, 30),
            counts=st.lists(st.lists(st.just(0) | st.integers(0, 40), min_size=3, max_size=3),
                            max_size=70))
-    def test_running_total_matches_brute_force_window(self, window, counts):
+    def test_window_matches_brute_force(self, window, counts):
         stats = StrategyStats(window=window)
         np.testing.assert_array_equal(stats.windowed_wins(), [0, 0, 0])
         np.testing.assert_array_equal(stats.success_rates(), np.full(3, 1 / 3))
@@ -364,6 +364,15 @@ class TestStrategyStats:
             else:
                 rates = expected / expected.sum()
             np.testing.assert_array_equal(stats.success_rates(), rates)
+
+    def test_windowed_wins_is_a_copy(self):
+        stats = StrategyStats(window=2)
+        for counts in ([3, 1, 0], [1, 1, 2]):
+            stats.record_generation(counts)
+        wins = stats.windowed_wins()
+        wins[:] = [0, 0, 100]
+        np.testing.assert_array_equal(stats.windowed_wins(), [4, 2, 2])
+        np.testing.assert_array_equal(stats.success_rates(), [0.5, 0.25, 0.25])
 
     def test_record_validation(self):
         stats = StrategyStats(window=25)

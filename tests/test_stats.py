@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppsde.stats import (
-    FriedmanAligned,
     Summary,
     _average_ranks,
     cell_mean,
     friedman_aligned,
+    friedman_matrix,
     summarize,
 )
 
@@ -71,6 +71,48 @@ class TestCellMean:
             cell_mean([], [])
         with pytest.raises(ValueError):
             cell_mean([1.0], [1.0, 2.0])
+
+
+class TestFriedmanMatrix:
+    def test_rows_of_one_kind_keep_their_cell_means(self):
+        final_f = [[[1.0, 3.0], [2.0, 2.0]], [[9.0, 9.0], [1.0, 1.0]]]
+        final_phi = [[[0.0, 0.0], [0.0, 0.0]], [[1.0, 3.0], [0.5, 0.5]]]
+        matrix, ranked = friedman_matrix(final_f, final_phi)
+        assert matrix.tolist() == [[2.0, 2.0], [2.0, 0.5]]
+        assert ranked == []
+
+    def test_rate_then_violation_then_objective(self):
+        # two runs per cell; an infeasible run's objective never counts
+        final_f = [[[9, 9], [1, -50], [5, -50], [2, -50], [0, 0], [7, 7]]]
+        final_phi = [[[0, 0], [0, 2], [0, 1], [0, 2], [0.1, 0.1], [0.1, 0.1]]]
+        matrix, ranked = friedman_matrix(final_f, final_phi)
+        assert matrix.tolist() == [[1.0, 3.0, 2.0, 4.0, 5.5, 5.5]]
+        assert ranked == [0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), shape=st.tuples(st.integers(1, 3), st.integers(2, 4), st.integers(1, 3)))
+    def test_matches_sorted_keys(self, data, shape):
+        # few distinct values, so that rates, violations and objectives tie often
+        def draw(values):
+            size = int(np.prod(shape))
+            return np.reshape(data.draw(st.lists(values, min_size=size, max_size=size)), shape)
+
+        final_f = draw(st.sampled_from([0.0, 1.0, 2.0]))
+        final_phi = draw(st.sampled_from([0.0, 0.0, 0.5, 1.0]))
+        matrix, ranked = friedman_matrix(final_f, final_phi)
+        for p, (fs, phis) in enumerate(zip(final_f, final_phi)):
+            ok = phis == 0.0
+            if ok.all() or not ok.any():
+                assert p not in ranked
+                assert matrix[p].tolist() == [cell_mean(f, phi)[0] for f, phi in zip(fs, phis)]
+                continue
+            assert p in ranked
+            keys = [(-np.mean(o), np.mean(phi), np.mean(f[o]) if o.any() else np.inf)
+                    for f, phi, o in zip(fs, phis, ok)]
+            order = sorted(keys)
+            expected = [np.mean([i + 1 for i, k in enumerate(order) if k == key])
+                        for key in keys]
+            assert matrix[p].tolist() == expected
 
 
 class TestFriedmanAligned:
