@@ -111,8 +111,8 @@ class ParameterMemory:
     """
 
     def __init__(self, length=5):
-        if length < 1:
-            raise ValueError("memory length must be >= 1")
+        if not (length % 1 == 0 and length >= 1):  # NaN fails both checks
+            raise ValueError("memory length must be a whole number >= 1")
         self.length = int(length)
         n = len(Strategy)
         self.f_memory = np.full((n, self.length), 0.5)
@@ -218,8 +218,8 @@ class StrategyStats:
     """
 
     def __init__(self, window):
-        if window < 1:
-            raise ValueError("window must be >= 1")
+        if not (window % 1 == 0 and window >= 1):  # NaN fails both checks
+            raise ValueError("window must be a whole number >= 1")
         self.window = int(window)
         self._ring = np.zeros((self.window, len(Strategy)), dtype=int)
         self._records = 0

@@ -1,20 +1,20 @@
 """Push/pull phase control.
 
-The search starts in a push phase that ignores constraints.  A tracker
-watches the population's best objective value; when its relative change over
-a learning period drops to the switch threshold, the search flips once and
-permanently into a pull phase.  During pull, a schedule supplies a
-violation-relaxation level that starts from a high quantile of the
-population's violations and decays to zero.
+The search starts in a push phase that ignores constraints.  Once the
+``change_rate`` of the population's minimum objective over a learning period
+drops to the switch threshold, it pulls for good, under a relaxation level
+that starts at ``initial_eps``, a high quantile of the population's
+violations, and decays to zero in ``eps_level`` steps.  These functions keep
+no state; ``solver.run`` keeps it in ``pull_start`` and in its trace's
+``pop_min_f`` and ``eps`` columns, and the two classes in their fields.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
-__all__ = ["EpsilonSchedule", "PhaseTracker", "PULL", "PUSH", "SF"]
+__all__ = ["EpsilonSchedule", "PhaseTracker", "PULL", "PUSH", "SF", "change_rate", "eps_level",
+           "initial_eps"]
 
 PUSH = "push"
 PULL = "pull"
@@ -30,34 +30,67 @@ DECAY_POWER = 2.0  # power of eps's decay toward the cutoff
 EPS_CUTOFF_FRACTION = 0.9  # eps is 0 from this share of the run's generations on
 
 
-class PhaseTracker:
-    """Detects objective stagnation and performs the one-way phase switch.
+def change_rate(minima, period):
+    """The change rate of the newest of a run's population minima.
 
-    The change rate at generation G is ``(old - new) / max(|old|, RATE_FLOOR)``
-    for the best objective ``new`` at G and ``old`` one learning period
-    earlier, and 1 until a full learning period of values exists.  The
-    phase is ``switch_generation``: None until the switch, then its generation.
+    It is ``(old - new) / max(|old|, RATE_FLOOR)`` for the newest minimum and
+    the one a learning period before it, and 1 while ``len(minima) <= period``.
+    """
+    if len(minima) <= period:
+        return 1.0
+    old, new = float(minima[-period - 1]), float(minima[-1])
+    return (old - new) / max(abs(old), RATE_FLOOR)
+
+
+def initial_eps(violations, eps_initial=None):
+    """The level pulling starts at: ``eps_initial``, or the violations' quantile.
+
+    The ``EPS_QUANTILE`` quantile counts an infinite violation as the largest
+    double, so that it never interpolates ``inf - inf`` and is always finite.
+    """
+    if eps_initial is None:
+        capped = np.minimum(np.asarray(violations, dtype=float), np.finfo(float).max)
+        eps_initial = np.quantile(capped, EPS_QUANTILE)
+    return float(eps_initial)
+
+
+def eps_level(previous, k, feasible_ratio, eps_initial, cutoff):
+    """The relaxation level at pull generation ``k``, given ``previous`` at k - 1.
+
+    It is zero from k = cutoff on, else ``eps_initial`` at k = 0, else
+    ``(1 - EPS_SHRINK) * previous`` while the feasible fraction is below
+    ``FEASIBLE_TRIGGER``, else ``eps_initial * (1 - k / cutoff) ** DECAY_POWER``.
+    """
+    if k >= cutoff:
+        return 0.0
+    if k == 0:
+        return eps_initial
+    if feasible_ratio < FEASIBLE_TRIGGER:
+        return (1.0 - EPS_SHRINK) * previous
+    return eps_initial * (1.0 - k / cutoff) ** DECAY_POWER
+
+
+class PhaseTracker:
+    """The one-way phase switch over ``change_rate``, fed one minimum per generation.
+
+    The phase is ``switch_generation``: None until the switch, then the first
+    generation whose rate was at most ``SWITCH_THRESHOLD``.
     """
 
     def __init__(self, learning_period):
-        if learning_period < 1:
-            raise ValueError("learning period must be >= 1")
+        if not (learning_period % 1 == 0 and learning_period >= 1):  # NaN fails both checks
+            raise ValueError("learning period must be a whole number >= 1")
         self.learning_period = int(learning_period)
         self.rate = 1.0
         self.switch_generation = None
-        self._history = deque(maxlen=self.learning_period + 1)
+        self._minima = []  # the last learning period + 1 of them
         self._generation = None
 
     def update_rate(self, generation, best_f_now):
         """Record this generation's best objective and return the change rate."""
         self._generation = int(generation)
-        self._history.append(float(best_f_now))
-        if len(self._history) <= self.learning_period:
-            self.rate = 1.0
-        else:
-            old = self._history[0]
-            new = self._history[-1]
-            self.rate = (old - new) / max(abs(old), RATE_FLOOR)
+        self._minima = self._minima[-self.learning_period:] + [float(best_f_now)]
+        self.rate = change_rate(self._minima, self.learning_period)
         return self.rate
 
     def should_switch(self):
@@ -73,19 +106,17 @@ class PhaseTracker:
 
 
 class EpsilonSchedule:
-    """Violation-relaxation level for the pull phase.
+    """The pull phase's relaxation levels, one ``eps_level`` step per call.
 
-    ``k`` counts generations since the schedule started.  The level is
-    ``eps_initial`` at k = 0 and zero from k = cutoff on.  In between it is
-    ``(1 - EPS_SHRINK)`` times the last level while the feasible fraction is
-    below ``FEASIBLE_TRIGGER``, else ``eps_initial * (1 - k / cutoff) ** DECAY_POWER``.
-    Each level depends on the one before it, so ``k`` starts from 0 or above
-    and strictly increases between calls.
+    ``k`` counts generations since the schedule started.  Each level depends
+    on the one before it, so ``k`` starts from 0 or above and strictly increases.
     """
 
     def __init__(self, eps_initial, cutoff):
         if not eps_initial >= 0:  # NaN fails too
             raise ValueError("eps_initial must be >= 0")
+        if not cutoff >= 0:
+            raise ValueError("cutoff must be >= 0")
         self.eps_initial = float(eps_initial)
         self.cutoff = float(cutoff)
         self._level = self.eps_initial
@@ -93,29 +124,13 @@ class EpsilonSchedule:
 
     @classmethod
     def from_violations(cls, violations, cutoff, eps_initial=None):
-        """Start the schedule from a population's ``EPS_QUANTILE`` violation quantile.
-
-        An explicit ``eps_initial`` overrides the quantile rule.  The quantile
-        is taken with infinite violations counted as the largest double, so
-        that it never interpolates ``inf - inf`` and always starts finite.
-        """
-        if eps_initial is None:
-            capped = np.minimum(np.asarray(violations, dtype=float), np.finfo(float).max)
-            eps_initial = float(np.quantile(capped, EPS_QUANTILE))
-        return cls(eps_initial, cutoff)
+        """Start the schedule at ``initial_eps(violations, eps_initial)``."""
+        return cls(initial_eps(violations, eps_initial), cutoff)
 
     def level(self, k, feasible_ratio):
         """Relaxation level at pull-generation ``k``."""
         if k <= self._last_k:
             raise ValueError(f"k must be >= 0 and above the last k, {self._last_k}")
-        if k >= self.cutoff:
-            level = 0.0
-        elif k == 0:
-            level = self.eps_initial
-        elif feasible_ratio < FEASIBLE_TRIGGER:
-            level = (1.0 - EPS_SHRINK) * self._level
-        else:
-            level = self.eps_initial * (1.0 - k / self.cutoff) ** DECAY_POWER
+        self._level = eps_level(self._level, k, feasible_ratio, self.eps_initial, self.cutoff)
         self._last_k = k
-        self._level = level
-        return level
+        return self._level

@@ -51,14 +51,15 @@ call, so the loop keeps the calls per generation few.
 A run makes exactly ``(max_fes - N) // (3T + N - T)`` generations for a
 population of N with a top part of T; a partial generation never starts.
 
-The phase state is one number, the generation at which pulling starts: 0
-for ``eps-de``; for ``pps-de`` it is set once, to the generation after the
-population's minimum objective stagnates over a learning period.  At the
-top of that generation the relaxation schedule is seeded from the
-population's violations; it then decays, and it is zero from
-``phases.EPS_CUTOFF_FRACTION`` of the run's generation count after pulling
-starts.  ``sf-de`` never pulls and compares feasibility-first for the whole
-run.  All three share the identical loop.
+The phase state is one number, ``pull_start``, the generation at which
+pulling starts: 0 for ``eps-de``; for ``pps-de`` it is set once, to the
+generation after ``phases.change_rate`` over the trace's ``pop_min_f`` falls
+to the switch threshold.  At the top of that generation
+``phases.initial_eps`` seeds the relaxation level from the population's
+violations; each later level is one ``phases.eps_level`` step from the
+trace's ``eps``, and it is zero from ``phases.EPS_CUTOFF_FRACTION`` of the
+run's generation count after pulling starts.  ``sf-de`` never pulls and
+compares feasibility-first for the whole run.  All three share one loop.
 """
 
 from __future__ import annotations
@@ -79,7 +80,8 @@ from .de import (  # noqa: F401 - the names perfbench/tracing.py wraps stay boun
     rand_1_bin_batch,
     select_strategies,
 )
-from .phases import EPS_CUTOFF_FRACTION, PULL, PUSH, SF, EpsilonSchedule, PhaseTracker
+from .phases import (EPS_CUTOFF_FRACTION, PULL, PUSH, SF, SWITCH_THRESHOLD, change_rate,
+                     eps_level, initial_eps)
 from .problems import Evaluation, Individual, evaluate_many
 from .selection import (  # noqa: F401 - the names perfbench/tracing.py wraps stay bound
     eps_key,
@@ -270,7 +272,6 @@ def run(problem, config, *, force_win_strategy=None):
 
     memory = ParameterMemory()
     stats = StrategyStats(window=cfg.learning_period)
-    tracker = PhaseTracker(cfg.learning_period)
     pull_start = 0 if cfg.algorithm == "eps-de" else None
 
     # the trial rows: the 3t top trials (strategy-major), then the bottom ones
@@ -292,13 +293,13 @@ def run(problem, config, *, force_win_strategy=None):
     )
     for generation in range(n_gen):
         feasible_ratio = np.count_nonzero(phi == 0.0) / n
-        if generation == pull_start:
-            schedule = EpsilonSchedule.from_violations(phi, cutoff=cutoff,
-                                                       eps_initial=cfg.eps_initial)
         if cfg.algorithm == "sf-de":
             mode, eps = SF, math.nan
         elif pull_start is not None:
-            mode, eps = PULL, schedule.level(generation - pull_start, feasible_ratio)
+            # the trace holds the last level and the start level, written at k = 0
+            k = generation - pull_start
+            eps0 = trace.eps[pull_start] if k else initial_eps(phi, cfg.eps_initial)
+            mode, eps = PULL, eps_level(trace.eps[generation - 1], k, feasible_ratio, eps0, cutoff)
         else:
             mode, eps = PUSH, math.inf
         key = sf_key if mode == SF else partial(eps_key, eps=eps)
@@ -337,7 +338,7 @@ def run(problem, config, *, force_win_strategy=None):
         kept = kept[sf_order(block_f[kept], block_phi[kept])]
         f, phi, pop = block_f[kept], block_phi[kept], block_x[kept]
 
-        pop_min_f = float(f.min())
+        trace.pop_min_f[generation] = f.min()
         if sf_better(float(phi[0]), float(f[0]), best.phi, best.f):
             # every kept member is no better than last generation's row 0,
             # hence than the incumbent, so a new incumbent is a trial
@@ -345,12 +346,13 @@ def run(problem, config, *, force_win_strategy=None):
             best = _member(pop[0], f[0], phi[0], trial_g[r], trial_h[r])
 
         if cfg.algorithm == "pps-de":
-            trace.rate[generation] = tracker.update_rate(generation, pop_min_f)
-            if tracker.should_switch():
+            rate = trace.rate[generation] = change_rate(trace.pop_min_f[:generation + 1],
+                                                        cfg.learning_period)
+            if pull_start is None and rate <= SWITCH_THRESHOLD:
                 pull_start = generation + 1
         trace.best_f[generation], trace.best_phi[generation] = best.f, best.phi
         trace.phase[generation], trace.eps[generation] = mode, eps
-        trace.sr[generation], trace.pop_min_f[generation] = sr, pop_min_f
+        trace.sr[generation] = sr
         trace.feasible_ratio[generation] = feasible_ratio
         trace.wins[generation] = wins
         trace.bottom_strategies[generation] = np.bincount(picks, minlength=3)
@@ -360,7 +362,7 @@ def run(problem, config, *, force_win_strategy=None):
         trace=trace,
         final_fes=n + gen_cost * n_gen,
         generations=n_gen,
-        switch_generation=tracker.switch_generation,
+        switch_generation=pull_start - 1 if pull_start else None,  # eps-de never switches
         config=cfg,
         problem_name=problem.name,
     )

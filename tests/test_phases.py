@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppsde import SUITE_IDS, RunConfig, make_suite_problem, run
+from ppsde.de import ParameterMemory, StrategyStats
 from ppsde.phases import (
     DECAY_POWER,
     EPS_CUTOFF_FRACTION,
@@ -18,7 +20,14 @@ from ppsde.phases import (
     SWITCH_THRESHOLD,
     EpsilonSchedule,
     PhaseTracker,
+    change_rate,
+    eps_level,
 )
+
+
+def bits(value):
+    """A float's IEEE 754 bytes, so that -0.0 and 0.0 differ and NaN equals itself."""
+    return struct.pack("<d", value)
 
 
 class TestPhaseTracker:
@@ -81,6 +90,25 @@ class TestPhaseTracker:
     def test_validation(self):
         with pytest.raises(ValueError):
             PhaseTracker(learning_period=0)
+
+    # population minima rich in magnitudes near the rate's floor
+    MINIMA = (st.sampled_from([0.0, -0.0, RATE_FLOOR, -RATE_FLOOR, 0.99e-6, 1.01e-6, 1.0])
+              | st.floats(-2e-6, 2e-6) | st.floats(allow_nan=False))
+
+    @settings(max_examples=200, deadline=None)
+    @given(period=st.integers(1, 8), minima=st.lists(MINIMA, max_size=40))
+    def test_update_rate_is_change_rate_bit_for_bit(self, period, minima):
+        tracker = PhaseTracker(learning_period=period)
+        column = np.array(minima, dtype=float)  # as run's trace holds them
+        switch = None
+        for g, value in enumerate(minima):
+            rate = tracker.update_rate(g, value)
+            assert bits(rate) == bits(change_rate(minima[:g + 1], period))
+            assert bits(rate) == bits(change_rate(column[:g + 1], period))
+            if switch is None and rate <= SWITCH_THRESHOLD:
+                switch = g
+            tracker.should_switch()
+        assert tracker.switch_generation == switch
 
 
 class TestEpsilonSchedule:
@@ -170,6 +198,29 @@ class TestEpsilonSchedule:
         with pytest.raises(ValueError, match="eps_initial must be >= 0"):
             EpsilonSchedule(eps_initial=math.nan, cutoff=10)
 
+    @pytest.mark.parametrize("cutoff", [math.nan, -1.0, -math.inf])
+    def test_a_nan_or_negative_cutoff_is_rejected(self, cutoff):
+        # a NaN cutoff would give a NaN level, under which every violation counts
+        with pytest.raises(ValueError, match="cutoff must be >= 0"):
+            EpsilonSchedule(eps_initial=4.0, cutoff=cutoff)
+
+    @settings(max_examples=200, deadline=None)
+    @given(eps_initial=st.sampled_from([0.0, 1.0, np.finfo(float).max]) | st.floats(0.0, 1e6),
+           cutoff=st.sampled_from([0.0, 1.0, math.inf]) | st.floats(0.0, 200.0),
+           first=st.integers(0, 5),
+           steps=st.lists(st.tuples(st.integers(1, 12), st.floats(0.0, 1.0)), max_size=40))
+    def test_level_is_chained_eps_level_bit_for_bit(self, eps_initial, cutoff, first, steps):
+        sched = EpsilonSchedule(eps_initial, cutoff)
+        ks = list(np.cumsum([first] + [gap for gap, _ in steps]))
+        ratios = [0.0] + [ratio for _, ratio in steps]
+        # chained on Python floats, and on a float64 column as run's trace holds them
+        level, column = eps_initial, np.empty(len(ks))
+        for i, (k, ratio) in enumerate(zip(ks, ratios)):
+            level = eps_level(level, int(k), ratio, eps_initial, cutoff)
+            column[i] = eps_level(column[i - 1] if i else np.float64(eps_initial), int(k), ratio,
+                                  np.float64(eps_initial), cutoff)
+            assert bits(sched.level(int(k), ratio)) == bits(level) == bits(column[i])
+
 
 class TestReplayFromTrace:
     """The phase switch and the relaxation levels of a run, recomputed in
@@ -221,3 +272,27 @@ class TestReplayFromTrace:
             else:
                 expected = levels[0] * (1.0 - k / cutoff) ** DECAY_POWER
             assert levels[k] == expected, f"pull generation {k}"
+
+
+def test_run_builds_neither_phase_class(monkeypatch):
+    """run keeps its phase state in its trace and pull_start, not in the classes."""
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("run built a phase class")
+
+    monkeypatch.setattr(PhaseTracker, "__init__", refuse)
+    monkeypatch.setattr(EpsilonSchedule, "__init__", refuse)
+    for algorithm in ("pps-de", "eps-de"):
+        res = run(make_suite_problem("P1", 2),
+                  RunConfig(algorithm=algorithm, learning_period=2, max_fes=400))
+        assert PULL in res.trace.phase
+
+
+@pytest.mark.parametrize("value", [2.5, math.nan, math.inf])
+@pytest.mark.parametrize("make, message", [
+    (PhaseTracker, "learning period must be a whole number >= 1"),
+    (StrategyStats, "window must be a whole number >= 1"),
+    (ParameterMemory, "memory length must be a whole number >= 1"),
+], ids=["PhaseTracker", "StrategyStats", "ParameterMemory"])
+def test_a_period_window_or_memory_length_must_be_whole(make, message, value):
+    with pytest.raises(ValueError, match=message):
+        make(value)
