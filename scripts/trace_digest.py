@@ -9,10 +9,10 @@ imports ``ppsde`` from its ``src`` directory.  It then runs
 
 - P1-P5 x D in {3, 10} x pps-de, sf-de, eps-de x seeds 0 and 1 at 3000*D
   evaluations (60 runs),
-- eight edge runs: two forced-win runs, eps-de at relaxation 0, two budgets
-  below one generation (pps-de and eps-de), a top-only population, a run
-  with ``sigma`` and ``eps_initial`` overrides, and one P4 D=10 run at the
-  default budget,
+- eight edge runs: two forced-win runs, a short eps-de run, two budgets
+  below one generation (pps-de and eps-de), a top-only population, a P3 run
+  whose problem has ``sigma = 1e-3``, and one P4 D=10 run at the default
+  budget,
 - one ``cli.execute`` batch of P3, P4 x D=4 x all three algorithms x 2 runs,
 
 and prints a sha256 over each run's ``perfbench.workloads.run_digest`` (best
@@ -27,6 +27,7 @@ minute on one core.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import os
@@ -37,7 +38,8 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 ALGORITHMS = ("pps-de", "sf-de", "eps-de")
 
-# (problem, dim, algorithm, seed, RunConfig overrides, force_win_strategy)
+# (problem, dim, algorithm, seed, settings, force_win_strategy); the settings
+# are RunConfig fields, except sigma, which is set on the problem
 MATRIX = [
     (pid, dim, algo, seed, {"max_fes": 3000 * dim}, None)
     for pid in ("P1", "P2", "P3", "P4", "P5")
@@ -48,11 +50,11 @@ MATRIX = [
 EDGE_RUNS = [
     ("P2", 3, "pps-de", 15, {"max_fes": 3000, "learning_period": 4}, 1),
     ("P2", 3, "pps-de", 3, {"max_fes": 6000}, 0),
-    ("P2", 3, "eps-de", 14, {"max_fes": 2500, "eps_initial": 0.0}, None),
+    ("P2", 3, "eps-de", 14, {"max_fes": 2500}, None),
     ("P1", 5, "pps-de", 0, {"max_fes": 30}, None),
     ("P1", 5, "eps-de", 0, {"max_fes": 30}, None),
     ("P2", 3, "pps-de", 11, {"n_pop": 8, "top_size": 8, "max_fes": 500}, None),
-    ("P3", 4, "pps-de", 2, {"max_fes": 12000, "sigma": 1e-3, "eps_initial": 2.0}, None),
+    ("P3", 4, "pps-de", 2, {"max_fes": 12000, "sigma": 1e-3}, None),
     ("P4", 10, "pps-de", 0, {}, None),
 ]
 CLI_ARGS = ["run", "--problem", "P3", "--problem", "P4", "--dim", "4",
@@ -75,9 +77,12 @@ def digest():
     from workloads import run_digest
 
     h = hashlib.sha256()
-    for pid, dim, algo, seed, overrides, force in MATRIX + EDGE_RUNS:
-        config = RunConfig(algorithm=algo, seed=seed, **overrides)
-        result = run(make_suite_problem(pid, dim), config, force_win_strategy=force)
+    for pid, dim, algo, seed, settings, force in MATRIX + EDGE_RUNS:
+        problem, settings = make_suite_problem(pid, dim), dict(settings)
+        if "sigma" in settings:
+            problem = dataclasses.replace(problem, sigma=settings.pop("sigma"))
+        config = RunConfig(algorithm=algo, seed=seed, **settings)
+        result = run(problem, config, force_win_strategy=force)
         h.update(run_digest(result).encode())
 
     with tempfile.TemporaryDirectory() as out:

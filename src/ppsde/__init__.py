@@ -35,7 +35,7 @@ from .solver import (
 )
 from .stats import friedman_aligned, summarize
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "ALGORITHMS",

@@ -4,9 +4,10 @@ The search starts in a push phase that ignores constraints.  Once the
 ``change_rate`` of the population's minimum objective over a learning period
 drops to the switch threshold, it pulls for good, under a relaxation level
 that starts at ``initial_eps``, a high quantile of the population's
-violations, and decays to zero in ``eps_level`` steps.  These functions keep
-no state; ``solver.run`` keeps it in ``pull_start`` and in its trace's
-``pop_min_f`` and ``eps`` columns, and the two classes in their fields.
+violations (Takahama and Sakai's rule, with no override), and decays to
+zero in ``eps_level`` steps.  These functions keep no state; ``solver.run``
+keeps it in ``pull_start`` and in its trace's ``pop_min_f`` and ``eps``
+columns, and the two classes in their fields.
 """
 
 from __future__ import annotations
@@ -42,16 +43,14 @@ def change_rate(minima, period):
     return (old - new) / max(abs(old), RATE_FLOOR)
 
 
-def initial_eps(violations, eps_initial=None):
-    """The level pulling starts at: ``eps_initial``, or the violations' quantile.
+def initial_eps(violations):
+    """The level pulling starts at: the violations' ``EPS_QUANTILE`` quantile.
 
-    The ``EPS_QUANTILE`` quantile counts an infinite violation as the largest
-    double, so that it never interpolates ``inf - inf`` and is always finite.
+    It counts an infinite violation as the largest double, so that it never
+    interpolates ``inf - inf`` and is always finite.
     """
-    if eps_initial is None:
-        capped = np.minimum(np.asarray(violations, dtype=float), np.finfo(float).max)
-        eps_initial = np.quantile(capped, EPS_QUANTILE)
-    return float(eps_initial)
+    capped = np.minimum(np.asarray(violations, dtype=float), np.finfo(float).max)
+    return float(np.quantile(capped, EPS_QUANTILE))
 
 
 def eps_level(previous, k, feasible_ratio, eps_initial, cutoff):
@@ -106,7 +105,7 @@ class PhaseTracker:
 
 
 class EpsilonSchedule:
-    """The pull phase's relaxation levels, one ``eps_level`` step per call.
+    """The pull phase's levels from ``eps_initial`` on, one ``eps_level`` step per call.
 
     ``k`` counts generations since the schedule started.  Each level depends
     on the one before it, so ``k`` starts from 0 or above and strictly increases.
@@ -123,9 +122,9 @@ class EpsilonSchedule:
         self._last_k = -1
 
     @classmethod
-    def from_violations(cls, violations, cutoff, eps_initial=None):
-        """Start the schedule at ``initial_eps(violations, eps_initial)``."""
-        return cls(initial_eps(violations, eps_initial), cutoff)
+    def from_violations(cls, violations, cutoff):
+        """Start the schedule at ``initial_eps(violations)``."""
+        return cls(initial_eps(violations), cutoff)
 
     def level(self, k, feasible_ratio):
         """Relaxation level at pull-generation ``k``."""

@@ -250,10 +250,11 @@ def _sphere_at_two(x):
 
 
 def _island_gap(x):
-    # two feasible cubes: one around the origin, one around 2*ones
-    near_origin = np.abs(x).max(axis=-1) - 0.5
-    near_two = np.abs(x - 2.0).max(axis=-1) - 0.5
-    return np.minimum(near_origin, near_two)
+    # cubes around 0 and 2*ones: max|x_i| = max(hi, -lo), max|x_i - 2| = max(hi - 2, 2 - lo),
+    # from one max and one min per row, reduced over a contiguous transposed copy
+    cols = np.ascontiguousarray(np.moveaxis(x, -1, 0))
+    hi, lo = cols.max(axis=0), cols.min(axis=0)
+    return np.minimum(np.maximum(hi, -lo), np.maximum(hi - 2.0, 2.0 - lo)) - 0.5
 
 
 def _rosenbrock(x):

@@ -60,6 +60,9 @@ violations; each later level is one ``phases.eps_level`` step from the
 trace's ``eps``, and it is zero from ``phases.EPS_CUTOFF_FRACTION`` of the
 run's generation count after pulling starts.  ``sf-de`` never pulls and
 compares feasibility-first for the whole run.  All three share one loop.
+
+The equality tolerance is the problem's ``sigma``; ``run`` never copies the
+problem, so all runs of one problem share one definition.
 """
 
 from __future__ import annotations
@@ -114,9 +117,9 @@ class RunConfig:
     ``n_pop``, ``top_size`` and ``max_fes`` default to five times the
     dimension but at least 8, half the population and 20000 evaluations per
     dimension when left as None; a population of 8 or more has a top part of
-    at least 4 at any dimension.  ``sigma`` overrides the problem's equality
-    tolerance when set.  ``eps_initial`` overrides the violation-quantile
-    start level of the pull schedule when set.  The method's fixed constants are
+    at least 4 at any dimension.  The equality tolerance is the problem's
+    ``sigma``, and pulling starts at ``phases.initial_eps`` of the
+    population's violations.  The method's fixed constants are
     ``SWITCH_THRESHOLD``, ``RATE_FLOOR``, ``EPS_QUANTILE``, ``EPS_SHRINK``,
     ``FEASIBLE_TRIGGER``, ``DECAY_POWER`` and ``EPS_CUTOFF_FRACTION`` in
     ``phases``, ``PBEST_FRACTION`` in ``de``, and the default memory length.
@@ -128,8 +131,6 @@ class RunConfig:
     top_size: int | None = None
     max_fes: int | None = None
     learning_period: int = 25
-    sigma: float | None = None
-    eps_initial: float | None = None
 
 
 @dataclass(frozen=True)
@@ -194,8 +195,6 @@ def _resolve(problem, config):
         (4 <= t <= n, "top size must satisfy 4 <= top <= population size"),
         (fes >= n, "evaluation budget must cover the initial population"),
         (period >= 1, "learning period must be >= 1"),
-        (config.sigma is None or config.sigma >= 0, "sigma must be >= 0"),
-        (config.eps_initial is None or config.eps_initial >= 0, "eps_initial must be >= 0"),
     )
     for ok, message in checks:
         if not ok:
@@ -249,8 +248,6 @@ def run(problem, config, *, force_win_strategy=None):
     the adaptation machinery can be observed under a known signal.
     """
     cfg = _resolve(problem, config)
-    if cfg.sigma is not None:
-        problem = replace(problem, sigma=cfg.sigma)
     if force_win_strategy is not None and force_win_strategy not in (0, 1, 2):
         raise ValueError("force_win_strategy must be 0, 1 or 2")
 
@@ -298,7 +295,7 @@ def run(problem, config, *, force_win_strategy=None):
         elif pull_start is not None:
             # the trace holds the last level and the start level, written at k = 0
             k = generation - pull_start
-            eps0 = trace.eps[pull_start] if k else initial_eps(phi, cfg.eps_initial)
+            eps0 = trace.eps[pull_start] if k else initial_eps(phi)
             mode, eps = PULL, eps_level(trace.eps[generation - 1], k, feasible_ratio, eps0, cutoff)
         else:
             mode, eps = PUSH, math.inf

@@ -165,8 +165,6 @@ def reference_run(problem, config):
     ``switch_generation`` and ``trace``, a dict of one list per ``RunTrace``
     field.
     """
-    if config.sigma is not None:
-        problem = dataclasses.replace(problem, sigma=config.sigma)
     rng = np.random.default_rng(config.seed)
     n, t, d = config.n_pop, config.top_size, problem.dim
     period, algorithm = config.learning_period, config.algorithm
@@ -193,10 +191,7 @@ def reference_run(problem, config):
     for generation in range(n_gen):
         feasible_ratio = sum(ev.phi == 0.0 for _, ev in pop) / n
         if generation == pull_start:
-            if config.eps_initial is not None:
-                eps_initial = float(config.eps_initial)
-            else:
-                eps_initial = float(np.quantile([ev.phi for _, ev in pop], EPS_QUANTILE))
+            eps_initial = float(np.quantile([ev.phi for _, ev in pop], EPS_QUANTILE))
             level = eps_initial
         if algorithm == "sf-de":
             mode, eps = SF, math.nan

@@ -53,11 +53,9 @@ FLAG_SETTINGS = {
     "n_pop": ("--pop", ["pop", "n_pop", "n-pop"], st.integers(10, 500)),
     "top_size": ("--top", ["top", "top_size", "top-size"], st.integers(4, 16)),
 }
-# the RunConfig fields only a config file sets
+# the RunConfig field only a config file sets
 FILE_SETTINGS = {
     "learning_period": st.integers(1, 100),
-    "sigma": st.floats(0.0, 1e3),
-    "eps_initial": st.floats(0.0, 1e6),
 }
 DEFAULTS = {"dim": [10], "algo": ["pps-de"], "runs": 25, "seed": 0, "out": "results",
             "workers": 1}
@@ -113,14 +111,14 @@ class TestParseArgs:
             "runs = 7\n"
             "seed = 5\n"
             "max-fes = 300   # inline comment\n"
-            "eps-initial = 0.5\n"
+            "learning-period = 7\n"
         )
         spec = parse_args(["run", "--config", str(cfg), "--runs", "2"])
         assert spec.problems == (("P1-sphere-shifted", 3), ("P2-active-linear", 3))
         assert spec.algorithms == ("sf-de",)
         assert spec.runs == 2  # flag beats file
         assert spec.base_seed == 5
-        assert spec.overrides == {"max_fes": 300, "eps_initial": 0.5}
+        assert spec.overrides == {"max_fes": 300, "learning_period": 7}
 
     @pytest.mark.parametrize("flag, key, text, value", [
         ("--max-fes", "max-fes", "1e3", 1000.0),
@@ -346,11 +344,24 @@ class TestParseArgs:
 
     def test_non_numeric_setting_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("problem = P1\nsigma = abc\n")
+        cfg.write_text("problem = P1\nlearning_period = abc\n")
         with pytest.raises(SystemExit) as exc:
             parse_args(["run", "--config", str(cfg)])
         assert exc.value.code == 2
-        assert "config key 'sigma' must be a number" in capsys.readouterr().err
+        assert "config key 'learning_period' must be a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["sigma = 1e-3", "eps_initial = 0", "eps-initial = 0.5"])
+    def test_a_problem_or_start_level_setting_exits_2_before_any_output(self, tmp_path, capsys,
+                                                                      line):
+        """sigma is the problem's and the start level is initial_eps's, so a
+        config file that sets either exits 2 and writes nothing."""
+        cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+        cfg.write_text(f"problem = P1\ndim = 2\nruns = 1\nmax-fes = 100\nout = {out}\n{line}\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "unknown config key" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, config", [
         (["--problem", "P1", "--problem", "p1"], ""),
@@ -394,7 +405,7 @@ class TestExperimentSpec:
         ({"base_seed": 1.5}, "seed must be a non-negative whole number"),
         ({"base_seed": math.nan}, "seed must be a non-negative whole number"),
         ({"overrides": {"n_pop": 3}}, "population size must be >= 4"),
-        ({"overrides": {"sigma": math.nan}}, "sigma must be >= 0"),
+        ({"overrides": {"sigma": math.nan}}, "unknown override key"),
     ], ids=["no-problem", "no-algorithm", "dim-1", "dim-fraction", "dim-nan", "unknown-problem",
             "repeated-cell", "repeated-short-id", "unknown-algorithm", "repeated-algorithm",
             "runs-0", "runs-fraction", "workers-0", "workers-fraction",
@@ -403,6 +414,13 @@ class TestExperimentSpec:
     def test_an_invalid_batch_raises_value_error(self, tmp_path, change, message):
         with pytest.raises(ValueError, match=message):
             fast_spec(tmp_path, **change)
+
+    @pytest.mark.parametrize("key", ["sigma", "eps_initial"])
+    def test_a_problem_or_start_level_override_names_the_allowed_keys(self, tmp_path, key):
+        with pytest.raises(ValueError) as exc:
+            fast_spec(tmp_path, overrides={key: 1e-3})
+        assert str(exc.value).endswith(
+            "choose from ('n_pop', 'top_size', 'max_fes', 'learning_period')")
 
     def test_whole_numbers_are_stored_as_ints(self, tmp_path):
         spec = fast_spec(tmp_path, problems=(("P1", 2.0), ("P2", np.int64(3))), runs=2.0,

@@ -181,12 +181,6 @@ class TestEpsilonSchedule:
         sched = EpsilonSchedule.from_violations(violations, cutoff=10)
         assert sched.eps_initial == float(np.quantile(violations, 0.95))
 
-    def test_from_violations_explicit_override(self):
-        sched = EpsilonSchedule.from_violations([1.0, 2.0, 3.0], cutoff=10,
-                                                eps_initial=0.0)
-        assert sched.eps_initial == 0.0
-        assert sched.level(0, 0.0) == 0.0
-
     def test_validation(self):
         with pytest.raises(ValueError):
             EpsilonSchedule(eps_initial=-0.1, cutoff=10)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.optimize import minimize
 
@@ -245,6 +246,22 @@ class TestSuite:
         assert between.phi == 0.5  # gap point, half a unit from either cube
         corner = evaluate(prob, np.full(6, 0.5))
         assert corner.phi == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), dim=st.integers(2, 60), rows=st.integers(1, 6),
+           batch=st.sampled_from([(), (1,), (3,)]))
+    def test_p4_gap_is_the_two_abs_formula_byte_for_byte(self, data, dim, rows, batch):
+        """max|x_i| = max(max x, -min x) and max|x_i - 2| = max(max x - 2, 2 - min x)
+        under monotone, symmetric rounding, so the gap from one max and one min
+        per row equals the two-abs formula bit for bit, over a leading batch
+        axis too; a row with a NaN gives NaN."""
+        values = st.sampled_from([5.0, -5.0, 2.0, 0.0, -0.0, np.nan]) | st.floats(-5.0, 5.0)
+        x = data.draw(arrays(np.float64, (*batch, rows, dim), elements=values), label="x")
+        (gap,) = make_suite_problem("P4", dim).inequalities
+        want = np.minimum(np.abs(x).max(axis=-1) - 0.5, np.abs(x - 2.0).max(axis=-1) - 0.5)
+        got = gap(x)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert_array_equal(np.isnan(got), np.isnan(x).any(axis=-1))
 
     def test_p5_ball_boundary(self):
         dim = 6

@@ -88,8 +88,16 @@ class TestResolve:
         with pytest.raises(ValueError):
             _resolve(prob, RunConfig(learning_period=0))
 
+    def test_run_config_holds_the_search_settings_only(self):
+        # sigma belongs to the problem and pulling starts at initial_eps's level
+        names = tuple(field.name for field in dataclasses.fields(RunConfig))
+        assert names == ("algorithm", "seed", "n_pop", "top_size", "max_fes", "learning_period")
+        for key in ("sigma", "eps_initial"):
+            with pytest.raises(TypeError):
+                RunConfig(**{key: 0.0})
+
     @pytest.mark.parametrize("bad", [
-        {"eps_initial": -1.0}, {"sigma": math.nan}, {"n_pop": 3},
+        {"n_pop": 3},
         {"learning_period": 2.5}, {"n_pop": 10.5},
         {"seed": -1}, {"seed": 2.5}, {"seed": math.nan}, {"seed": None},
     ], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
@@ -362,13 +370,14 @@ class TestRunInvariants:
             if field.name not in ("best", "trace"):
                 assert getattr(a, field.name) == getattr(b, field.name), field.name
 
-    def test_sigma_override_applies_to_the_run_only(self):
+    def test_run_reads_sigma_from_the_problem(self):
         problem = make_suite_problem("P3", 3)
-        res = run(problem, RunConfig(seed=12, max_fes=1500, sigma=0.5))
-        again = evaluate(dataclasses.replace(problem, sigma=0.5), res.best.x)
+        loose = dataclasses.replace(problem, sigma=0.5)
+        res = run(loose, RunConfig(seed=12, max_fes=1500))
+        again = evaluate(loose, res.best.x)
         assert (again.f, again.phi) == (res.best.f, res.best.phi)
         assert evaluate(problem, res.best.x).phi > res.best.phi
-        assert problem.sigma == 1e-4 and res.problem_name == problem.name
+        assert res.problem_name == problem.name
 
     def test_different_seeds_differ(self):
         a = small_run(pid="P3", dim=3, max_fes=2000, seed=8)
@@ -399,17 +408,18 @@ class TestReferenceRun:
     @given(data=st.data(), n=st.integers(4, 12), dim=st.integers(2, 4),
            algorithm=st.sampled_from(ALGORITHMS), pid=st.sampled_from(SUITE_IDS),
            seed=st.integers(0, 2**32 - 1), learning_period=st.integers(2, 10),
-           sigma=st.none() | st.sampled_from([0.0, 1e-3, 0.5]),
-           eps_initial=st.none() | st.floats(0.0, 10.0))
+           sigma=st.none() | st.sampled_from([0.0, 1e-3, 0.5]))
     def test_run_equals_the_per_member_reference_bit_for_bit(
-            self, data, n, dim, algorithm, pid, seed, learning_period, sigma, eps_initial):
+            self, data, n, dim, algorithm, pid, seed, learning_period, sigma):
         """Thirty generations of run() equal the plain per-member reference in
-        every trace field, the best point and the switch generation."""
+        every trace field, the best point and the switch generation, on a
+        suite problem at its own sigma or at a drawn one."""
         t = data.draw(st.integers(4, n), label="top_size")
         config = RunConfig(algorithm=algorithm, seed=seed, n_pop=n, top_size=t,
-                           max_fes=n + 30 * (3 * t + n - t), learning_period=learning_period,
-                           sigma=sigma, eps_initial=eps_initial)
+                           max_fes=n + 30 * (3 * t + n - t), learning_period=learning_period)
         problem = make_suite_problem(pid, dim)
+        if sigma is not None:
+            problem = dataclasses.replace(problem, sigma=sigma)
         got, want = run(problem, config), reference_run(problem, config)
         for field in dataclasses.fields(solver.RunTrace):
             ours = getattr(got.trace, field.name)
@@ -591,12 +601,13 @@ class TestBaselines:
         assert np.all(res.trace.eps[90:] == 0.0)
         assert np.all(res.trace.eps[:90] > 0.0)
 
-    def test_eps_de_at_zero_level_equals_sf_de(self):
+    def test_eps_de_at_zero_level_equals_sf_de(self, monkeypatch):
         # at relaxation zero the relaxed rule differs from feasibility-first
         # comparison only between equal positive violations, which this run
         # never meets, so the runs must coincide
-        kw = dict(pid="P2", dim=3, max_fes=2500, seed=14, eps_initial=0.0)
-        a = small_run(algorithm="eps-de", **kw)
+        monkeypatch.setattr(solver, "initial_eps", lambda violations: 0.0)
+        a = small_run(algorithm="eps-de", pid="P2", dim=3, max_fes=2500, seed=14)
+        assert np.all(a.trace.eps == 0.0)
         b = small_run(algorithm="sf-de", pid="P2", dim=3, max_fes=2500, seed=14)
         np.testing.assert_array_equal(a.trace.best_f, b.trace.best_f)
         np.testing.assert_array_equal(a.trace.best_phi, b.trace.best_phi)
