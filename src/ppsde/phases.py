@@ -46,11 +46,32 @@ def change_rate(minima, period):
 def initial_eps(violations):
     """The level pulling starts at: the violations' ``EPS_QUANTILE`` quantile.
 
-    It counts an infinite violation as the largest double, so that it never
-    interpolates ``inf - inf`` and is always finite.
+    It is numpy's default quantile, the linear interpolation of Hyndman and
+    Fan's (1996) type 7.  With h = (n - 1) * EPS_QUANTILE, lo = floor(h),
+    t = h - lo and the sorted values a = v[lo] and b = v[lo + 1], it is
+    ``a + (b - a) * t``, or ``b - (b - a) * (1 - t)`` where t >= 0.5, as
+    numpy's ``_lerp`` computes it; one value is its own quantile.  It equals
+    ``np.quantile(v, EPS_QUANTILE)`` bit for bit without the import of
+    ``numpy.ma`` that ``np.quantile`` makes: the same ``np.partition`` call
+    puts the two neighbours, and equal zeros of either sign, where
+    ``np.quantile`` puts them.
+
+    An infinite violation counts as the largest double, so that it never
+    interpolates ``inf - inf`` and the level is always finite.  An empty
+    array, a NaN or a negative violation raises ValueError.
     """
-    capped = np.minimum(np.asarray(violations, dtype=float), np.finfo(float).max)
-    return float(np.quantile(capped, EPS_QUANTILE))
+    capped = np.minimum(np.asarray(violations, dtype=float).ravel(), np.finfo(float).max)
+    n = capped.size
+    if not n:
+        raise ValueError("violations must not be empty")
+    if not capped.min() >= 0.0:  # NaN fails too
+        raise ValueError("violations must be >= 0")
+    h = (n - 1) * EPS_QUANTILE
+    lo = min(int(h), n - 2)  # n = 1 gives lo = -1 and t = 1, as in numpy
+    t = h - lo
+    capped.partition(sorted({0, -1, lo, lo + 1}))  # np.quantile's index list
+    a, b = float(capped[lo]), float(capped[lo + 1])
+    return b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
 
 
 def eps_level(previous, k, feasible_ratio, eps_initial, cutoff):

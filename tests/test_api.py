@@ -101,6 +101,17 @@ def test_friedman_aligned_loads_scipy_special_only():
     assert "scipy.stats" not in loaded
 
 
+def test_a_run_loads_no_numpy_ma():
+    # np.quantile would load numpy.ma at the first pull generation
+    loaded = _loaded_modules_after(
+        "from ppsde import RunConfig, make_suite_problem, run\n"
+        "problem = make_suite_problem('P4', 4)\n"
+        "res = run(problem, RunConfig(algorithm='pps-de', max_fes=4000))\n"
+        "assert res.switch_generation is not None\n"
+        "run(problem, RunConfig(algorithm='eps-de', max_fes=2000))")
+    assert "numpy.ma" not in loaded
+
+
 def test_cli_import_loads_no_process_pool():
     # only a batch with more than one worker needs the pool machinery
     loaded = _loaded_modules_after("import ppsde.cli")

@@ -11,6 +11,7 @@ from ppsde.de import ParameterMemory, StrategyStats
 from ppsde.phases import (
     DECAY_POWER,
     EPS_CUTOFF_FRACTION,
+    EPS_QUANTILE,
     EPS_SHRINK,
     FEASIBLE_TRIGGER,
     PULL,
@@ -22,7 +23,10 @@ from ppsde.phases import (
     PhaseTracker,
     change_rate,
     eps_level,
+    initial_eps,
 )
+
+LARGEST = np.finfo(float).max
 
 
 def bits(value):
@@ -214,6 +218,58 @@ class TestEpsilonSchedule:
             column[i] = eps_level(column[i - 1] if i else np.float64(eps_initial), int(k), ratio,
                                   np.float64(eps_initial), cutoff)
             assert bits(sched.level(int(k), ratio)) == bits(level) == bits(column[i])
+
+
+class TestInitialEps:
+    """``initial_eps`` is ``np.quantile`` of the capped violations, bit for bit."""
+
+    @staticmethod
+    def numpy_quantile(violations):
+        return float(np.quantile(np.minimum(violations, LARGEST), EPS_QUANTILE))
+
+    @pytest.mark.parametrize("violations", [[], [math.nan, 1.0], [1.0, math.nan], [-1.0, 2.0],
+                                            [0.0, -math.inf], [-5e-324]],
+                             ids=["empty", "nan-first", "nan-last", "negative", "minus-inf",
+                                  "negative-subnormal"])
+    def test_an_empty_nan_or_negative_input_is_rejected(self, violations):
+        with pytest.raises(ValueError, match="violations must"):
+            initial_eps(violations)
+        with pytest.raises(ValueError, match="violations must"):
+            EpsilonSchedule.from_violations(violations, cutoff=10)
+
+    def test_signed_zeros_are_accepted(self):
+        assert bits(initial_eps([-0.0])) == bits(-0.0)
+        assert initial_eps([0.0, -0.0, 1.0]) == self.numpy_quantile([0.0, -0.0, 1.0])
+
+    # ties, zeros of both signs, infinities and values near the largest double
+    VIOLATION = (st.sampled_from([0.0, -0.0, 5e-324, 1.0, 2.0, LARGEST / 2,
+                                  np.nextafter(LARGEST, 0.0), LARGEST, math.inf])
+                 | st.floats(min_value=0.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(zeros=st.lists(st.sampled_from([0.0, -0.0]), max_size=500),
+           runs=st.lists(st.tuples(VIOLATION, st.integers(1, 60)), min_size=1, max_size=40),
+           order=st.none() | st.integers(0, 2**32 - 1))
+    def test_equals_numpy_quantile_bit_for_bit(self, zeros, runs, order):
+        # signed zeros, then runs of equal values, cut to sizes 1-500 and shuffled or not;
+        # where both neighbours are zeros, their signs set the sign of the result
+        values = zeros + [value for value, count in runs for _ in range(count)]
+        violations = np.array(values[:500])
+        if order is not None:
+            violations = np.random.default_rng(order).permutation(violations)
+        before = violations.tobytes()
+        assert bits(initial_eps(violations)) == bits(self.numpy_quantile(violations))
+        assert violations.tobytes() == before
+
+    def test_every_population_size_equals_numpy_quantile(self):
+        # run accepts populations of 4 members and more
+        rng = np.random.default_rng(23)
+        for n in range(4, 501):
+            violations = rng.exponential(1.0, n) * rng.choice([0.0, -0.0, 1.0, 1.0], n)
+            violations[rng.random(n) < 0.05] = math.inf
+            zeros = rng.choice([0.0, -0.0], n)
+            for v in (violations, zeros):
+                assert bits(initial_eps(v)) == bits(self.numpy_quantile(v)), n
 
 
 class TestReplayFromTrace:
