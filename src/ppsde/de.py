@@ -26,8 +26,9 @@ fold does this for every strategy at once: the successes of all strategies
 come as aligned arrays with a strategy key, and ``np.bincount`` over the
 key gives each strategy's sums.  ``bincount`` adds each key's entries in
 input order, so a strategy's new cells are sequential sums over its own
-successes and do not depend on the entries of any other key.  The
-strategy statistics keep their window of win counts as one ring of rows.
+successes and do not depend on the entries of any other key.
+``strategy_rates`` reads a window of per-generation win rows;
+``StrategyStats`` keeps that window as one ring for callers without a trace.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ __all__ = [
     "pbest_pool_size",
     "rand_1_bin_batch",
     "select_strategies",
+    "strategy_rates",
 ]
 
 
@@ -209,12 +211,28 @@ class ParameterMemory:
 # ---------------------------------------------------------------------------
 # Strategy-selection statistics
 
-class StrategyStats:
-    """Sliding-window win counts and success rates for the three strategies.
+def strategy_rates(wins, window):
+    """Per-strategy selection probabilities from win rows, one row per generation.
 
-    The window is a ``(window, 3)`` ring: record k overwrites row
-    ``k % window``, which holds record ``k - window``, so the window's
-    totals are the ring's column sums.
+    Uniform while there are fewer than ``window`` rows or the last ``window``
+    hold no wins, else each strategy's share of those wins.  Over the rows of
+    generations 0 ... G - 1, as ``solver.run`` passes them, this is SaDE's
+    rule (Qin, Huang & Suganthan 2009), one generation behind G's own race.
+    """
+    if not (window % 1 == 0 and window >= 1):  # NaN fails both checks
+        raise ValueError("window must be a whole number >= 1")
+    windowed = np.asarray(wins)[-int(window):].sum(axis=0)
+    total = windowed.sum()
+    if len(wins) < window or total == 0:
+        return np.full(len(Strategy), 1.0 / len(Strategy))
+    return windowed / total
+
+
+class StrategyStats:
+    """``strategy_rates`` stepped one generation at a time, for callers without a trace.
+
+    The window is a ``(window, 3)`` ring: record k overwrites record
+    ``k - window`` in row ``k % window``, so the column sums are its totals.
     """
 
     def __init__(self, window):
@@ -225,10 +243,11 @@ class StrategyStats:
         self._records = 0
 
     def record_generation(self, counts):
-        """Record one generation's per-strategy win counts."""
-        counts = np.asarray(counts, dtype=int)
-        if counts.shape != (len(Strategy),) or (counts < 0).any():
-            raise ValueError("expected one non-negative count per strategy")
+        """Record one generation's per-strategy win counts, whole numbers that fit an int64."""
+        counts = np.asarray(counts)
+        fits = counts.shape == (len(Strategy),) and ((counts >= 0) & (counts < 2.0**63)).all()
+        if not (fits and (counts % 1 == 0).all()):  # NaN and inf fail before the modulo
+            raise ValueError("expected one whole count in [0, 2**63) per strategy")
         self._ring[self._records % self.window] = counts
         self._records += 1
 
@@ -237,22 +256,8 @@ class StrategyStats:
         return self._ring.sum(axis=0)
 
     def success_rates(self):
-        """Per-strategy selection probabilities from the recorded window.
-
-        Uniform while the window holds fewer than ``window`` records or no
-        wins; otherwise each strategy's share of the windowed wins.  Asked
-        before generation G records its own wins, as ``solver.run`` does,
-        this is SaDE's rule (Qin, Huang & Suganthan 2009): G records precede
-        G, so the rates are uniform while G < window and afterwards come
-        from generations G - window ... G - 1, one generation behind the
-        race of G.
-        """
-        n = len(Strategy)
-        wins = self.windowed_wins()
-        total = wins.sum()
-        if self._records < self.window or total == 0:
-            return np.full(n, 1.0 / n)
-        return wins / total
+        """``strategy_rates`` over the recorded window."""
+        return strategy_rates(self._ring[:self._records], self.window)
 
 
 def select_strategies(rates, size, rng):
@@ -322,10 +327,8 @@ def make_trials(pop, targets, strategies, f, cr, lower, upper, rng):
     from one block of ``m * (6 + d)``: five index draws per row, then the
     current-to-rand coefficients, then the crossover mask.
 
-    The five operand row sets are gathered with one ``np.take`` into a fresh
-    buffer, and the donor is built in place in the ``x_a`` rows of that
-    buffer, in the order of the formula above, so no temporary is
-    allocated for it.
+    The operand rows are gathered with one ``np.take``, and the donor is
+    built in place in its ``x_a`` rows, in the formula's order.
     """
     targets = np.asarray(targets)
     m = len(targets)

@@ -6,16 +6,15 @@ generates three trials, one per strategy with independently sampled control
 parameters; the best of the three under the current phase's comparison rule
 is kept, the earliest strategy on a tie, and its strategy is credited with a
 win only when that trial is strictly better than both others.  Every bottom
-member generates a single trial with a strategy drawn from the win rates of
-the generations before this one.  This is the lag rule of SaDE (Qin, Huang
-& Suganthan 2009): generation G's strategy probabilities come from the
-races of generations G - LP ... G - 1, and are uniform while G < LP.  So
+member generates a single trial with a strategy drawn from
+``de.strategy_rates`` over the trace's ``wins`` rows of the generations
+before this one, the lag rule of SaDE (Qin, Huang & Suganthan 2009).  So
 the bottom picks never wait for this generation's race, and one offspring
 step serves both parts: it samples the control parameters, builds the
 trials and evaluates them, all 3T + N - T rows at once, the top trials
 first.  A generation draws the bottom picks, then one F/CR sample, then
 one trial block.  The race reads its 3T trials from the head of the step's
-rows, and its wins enter the window for the generations after it.  The
+rows, and its wins enter the trace's ``wins`` for later generations.  The
 members and the trials form one block of rows per generation, from which
 the replacement gathers.  All replacements are one-to-one under the phase
 rule: constraint-blind while pushing, violation-relaxed while pulling.
@@ -75,13 +74,13 @@ import numpy as np
 
 from .de import (  # noqa: F401 - the names perfbench/tracing.py wraps stay bound
     ParameterMemory,
-    StrategyStats,
     current_to_pbest_batch,
     current_to_rand_batch,
     make_trials,
     pbest_pool_size,
     rand_1_bin_batch,
     select_strategies,
+    strategy_rates,
 )
 from .phases import (EPS_CUTOFF_FRACTION, PULL, PUSH, SF, SWITCH_THRESHOLD, change_rate,
                      eps_level, initial_eps)
@@ -268,7 +267,6 @@ def run(problem, config, *, force_win_strategy=None):
     best = _member(pop[0], f[0], phi[0], g[order[0]], h[order[0]])
 
     memory = ParameterMemory()
-    stats = StrategyStats(window=cfg.learning_period)
     pull_start = 0 if cfg.algorithm == "eps-de" else None
 
     # the trial rows: the 3t top trials (strategy-major), then the bottom ones
@@ -301,8 +299,8 @@ def run(problem, config, *, force_win_strategy=None):
             mode, eps = PUSH, math.inf
         key = sf_key if mode == SF else partial(eps_key, eps=eps)
 
-        # the bottom picks read the win window of the generations before this one
-        sr = stats.success_rates()
+        # the bottom picks read the win rows of the generations before this one
+        sr = strategy_rates(trace.wins[:generation], cfg.learning_period)
         picks = select_strategies(sr, n_bottom, rng)
         strategies = np.concatenate((top_strategies, picks))
         f_param, cr_param = memory.sample_parameters_many(strategies, gen_cost, rng)
@@ -320,7 +318,6 @@ def run(problem, config, *, force_win_strategy=None):
             winner, outright = _top_race(major[n:n + 3 * t].reshape(3, t),
                                          minor[n:n + 3 * t].reshape(3, t))
             wins = np.bincount(winner[outright], minlength=3)
-        stats.record_generation(wins)
 
         # a member's candidate is its best top trial or its bottom trial
         block_x = np.concatenate((pop, x))

@@ -112,6 +112,25 @@ def test_a_run_loads_no_numpy_ma():
     assert "numpy.ma" not in loaded
 
 
+def _bound(owner, attr):
+    # a class's own attribute as stored (a classmethod stays one), else getattr
+    return vars(owner)[attr] if isinstance(owner, type) else getattr(owner, attr)
+
+
+def test_the_benchmark_tracer_wraps_every_target_and_restores_it(monkeypatch):
+    """perfbench's tracer wraps ppsde names by attribute, so a deleted or
+    renamed one must fail here and not only in a traced benchmark pass."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    targets = [(owner, attr) for owner, attr, *_ in tracing._targets()]
+    before = [_bound(owner, attr) for owner, attr in targets]
+    with tracing.Tracer().installed():
+        inside = [_bound(owner, attr) for owner, attr in targets]
+    after = [_bound(owner, attr) for owner, attr in targets]
+    assert [t for t, raw, now in zip(targets, before, inside) if now is raw] == []
+    assert [t for t, raw, now in zip(targets, before, after) if now is not raw] == []
+
+
 def test_cli_import_loads_no_process_pool():
     # only a batch with more than one worker needs the pool machinery
     loaded = _loaded_modules_after("import ppsde.cli")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from ppsde.de import (
     pbest_pool_size,
     rand_1_bin_batch,
     select_strategies,
+    strategy_rates,
 )
 from ppsde.problems import Problem
 
@@ -382,6 +385,46 @@ class TestStrategyStats:
             stats.record_generation([1, -1, 0])
         with pytest.raises(ValueError):
             StrategyStats(window=0)
+
+    @pytest.mark.parametrize("counts", [[1.5, 0, 0], [0, 0.5, 0], [math.nan, 0, 0],
+                                        [math.inf, 0, 0], [1e300, 0, 0]])
+    def test_rejects_counts_that_are_not_whole(self, counts):
+        # a cast to the ring's integers would record 1.5 as one win, and a
+        # count beyond int64 as garbage
+        stats = StrategyStats(window=1)
+        with pytest.raises(ValueError):
+            stats.record_generation(counts)
+        np.testing.assert_array_equal(stats.windowed_wins(), [0, 0, 0])
+        stats.record_generation([2.0, 1, 0])  # a whole float is a count
+        np.testing.assert_array_equal(stats.success_rates(), [2 / 3, 1 / 3, 0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(window=st.integers(1, 30),
+           rows=st.lists(st.just([0, 0, 0]) | st.lists(st.just(0) | st.integers(0, 40),
+                                                        min_size=3, max_size=3),
+                         max_size=80),
+           data=st.data())
+    def test_the_ring_steps_strategy_rates(self, window, rows, data):
+        """StrategyStats fed k rows gives the bytes of strategy_rates over
+        those k rows, before the window fills, after its ring wraps, and on
+        windows without a win."""
+        k = data.draw(st.integers(0, len(rows)))
+        stats = StrategyStats(window=window)
+        for counts in rows[:k]:
+            stats.record_generation(counts)
+        expected = strategy_rates(np.array(rows[:k], dtype=int).reshape(k, 3), window)
+        got = stats.success_rates()
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+    def test_strategy_rates_reads_the_last_window_rows(self):
+        wins = np.array([[9, 0, 0], [1, 1, 0], [0, 1, 2]])
+        np.testing.assert_array_equal(strategy_rates(wins, 2), [0.2, 0.4, 0.4])
+        np.testing.assert_array_equal(strategy_rates(wins, 4), np.full(3, 1 / 3))
+        np.testing.assert_array_equal(strategy_rates(wins[:0], 1), np.full(3, 1 / 3))
+        np.testing.assert_array_equal(strategy_rates([[0, 0, 0]], 1), np.full(3, 1 / 3))
+        for window in (0, 1.5, math.nan):
+            with pytest.raises(ValueError):
+                strategy_rates(wins, window)
 
     def test_selection_frequencies_track_rates(self):
         stats = StrategyStats(window=1)
