@@ -23,6 +23,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from ._counts import whole
 from .problems import canonical_problem_id, make_suite_problem
 from .solver import ALGORITHMS, RunConfig, _resolve, run
 from .stats import cell_mean, friedman_aligned, friedman_matrix, summarize
@@ -78,12 +79,12 @@ class ExperimentSpec:
     """A batch: problem instances, algorithms, seeds, output, and its runs.
 
     Construction raises ValueError for a batch with no problem or no
-    algorithm, a dimension below 2 or not a whole number, a repeated
-    algorithm or (problem, dimension) cell, a run or worker count below 1
-    or not a whole number, or an override key that is not a ``RunConfig``
-    field other than ``algorithm`` and ``seed``.  It then resolves each
-    run's ``RunConfig`` as ``run`` would, so an unknown algorithm, a bad
-    base seed or an override that some cell cannot use raises too.
+    algorithm, a repeated algorithm or (problem, dimension) cell, a run or
+    worker count that is not a whole number >= 1, or an override key that
+    is not a ``RunConfig`` field other than ``algorithm`` and ``seed``.  It
+    then builds each cell's problem and resolves each run's ``RunConfig`` as
+    ``run`` would, so a bad dimension or base seed, an unknown algorithm or
+    an override that some cell cannot use raises too.
     ``jobs`` holds each run's problem, resolved config and trace path, in
     problem, algorithm, run order.  Problem ids are kept in full form, and
     numbers as ints.  The spec is frozen and keeps a read-only copy of the
@@ -102,37 +103,32 @@ class ExperimentSpec:
     def __post_init__(self):
         cells = tuple((canonical_problem_id(p), dim) for p, dim in self.problems)
         algos = self.algorithms
-        # a repeated cell would write its traces twice under one name; every
-        # whole-number check is written so that NaN fails it
+        # a repeated cell would write its traces twice under one name
         checks = (
             (len(cells) >= 1, "at least one problem is required"),
             (len(algos) >= 1, "at least one algorithm is required"),
-            (all(dim % 1 == 0 for _, dim in cells), "every dimension must be a whole number"),
-            (all(dim >= 2 for _, dim in cells), "every dimension must be >= 2"),
             (len(set(cells)) == len(cells), f"each cell may be given only once, got {cells}"),
             (len(set(algos)) == len(algos), f"each algorithm may be given only once, got {algos}"),
             (set(self.overrides) <= set(_OVERRIDE_FIELDS),
              f"unknown override key in {tuple(self.overrides)}; choose from {_OVERRIDE_FIELDS}"),
-            (self.runs % 1 == 0, "runs must be a whole number"),
-            (self.runs >= 1, "runs must be >= 1"),
-            (self.workers % 1 == 0, "workers must be a whole number"),
-            (self.workers >= 1, "workers must be >= 1"),
         )
         for ok, message in checks:
             if not ok:
                 raise ValueError(message)
-        problems, runs, jobs = tuple((p, int(dim)) for p, dim in cells), int(self.runs), []
-        for pid, dim in problems:
-            problem, short = make_suite_problem(pid, dim), pid.split("-")[0]
+        runs, workers = whole(self.runs, "runs", 1), whole(self.workers, "workers", 1)
+        base_seed, jobs = whole(self.base_seed, "seed", 0), []
+        built = tuple((pid, make_suite_problem(pid, dim)) for pid, dim in cells)
+        for pid, problem in built:
+            short, dim = pid.split("-")[0], problem.dim
             for algo in algos:
                 for i in range(runs):
-                    config = RunConfig(algorithm=algo, seed=self.base_seed + i, **self.overrides)
+                    config = RunConfig(algorithm=algo, seed=base_seed + i, **self.overrides)
                     path = os.path.join(self.out_dir, f"{short}_d{dim}_{algo}_run{i:02d}.csv")
                     jobs.append((problem, _resolve(problem, config), path))
-        object.__setattr__(self, "problems", problems)
+        object.__setattr__(self, "problems", tuple((pid, p.dim) for pid, p in built))
         object.__setattr__(self, "runs", runs)
-        object.__setattr__(self, "base_seed", int(self.base_seed))
-        object.__setattr__(self, "workers", int(self.workers))
+        object.__setattr__(self, "base_seed", base_seed)
+        object.__setattr__(self, "workers", workers)
         object.__setattr__(self, "overrides", MappingProxyType(dict(self.overrides)))
         object.__setattr__(self, "jobs", tuple(jobs))
 

@@ -38,6 +38,8 @@ import math
 
 import numpy as np
 
+from ._counts import whole
+
 __all__ = [
     "ParameterMemory",
     "Strategy",
@@ -113,9 +115,7 @@ class ParameterMemory:
     """
 
     def __init__(self, length=5):
-        if not (length % 1 == 0 and length >= 1):  # NaN fails both checks
-            raise ValueError("memory length must be a whole number >= 1")
-        self.length = int(length)
+        self.length = whole(length, "memory length", 1)
         n = len(Strategy)
         self.f_memory = np.full((n, self.length), 0.5)
         self.cr_memory = np.full((n, self.length), 0.5)
@@ -219,9 +219,8 @@ def strategy_rates(wins, window):
     generations 0 ... G - 1, as ``solver.run`` passes them, this is SaDE's
     rule (Qin, Huang & Suganthan 2009), one generation behind G's own race.
     """
-    if not (window % 1 == 0 and window >= 1):  # NaN fails both checks
-        raise ValueError("window must be a whole number >= 1")
-    windowed = np.asarray(wins)[-int(window):].sum(axis=0)
+    window = whole(window, "window", 1)
+    windowed = np.asarray(wins)[-window:].sum(axis=0)
     total = windowed.sum()
     if len(wins) < window or total == 0:
         return np.full(len(Strategy), 1.0 / len(Strategy))
@@ -236,9 +235,7 @@ class StrategyStats:
     """
 
     def __init__(self, window):
-        if not (window % 1 == 0 and window >= 1):  # NaN fails both checks
-            raise ValueError("window must be a whole number >= 1")
-        self.window = int(window)
+        self.window = whole(window, "window", 1)
         self._ring = np.zeros((self.window, len(Strategy)), dtype=int)
         self._records = 0
 

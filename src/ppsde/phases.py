@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._counts import whole
+
 __all__ = ["EpsilonSchedule", "PhaseTracker", "PULL", "PUSH", "SF", "change_rate", "eps_level",
            "initial_eps"]
 
@@ -98,9 +100,7 @@ class PhaseTracker:
     """
 
     def __init__(self, learning_period):
-        if not (learning_period % 1 == 0 and learning_period >= 1):  # NaN fails both checks
-            raise ValueError("learning period must be a whole number >= 1")
-        self.learning_period = int(learning_period)
+        self.learning_period = whole(learning_period, "learning period", 1)
         self.rate = 1.0
         self.switch_generation = None
         self._minima = []  # the last learning period + 1 of them

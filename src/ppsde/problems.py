@@ -17,11 +17,12 @@ searched for its first non-finite entry.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from ._counts import whole
 
 __all__ = [
     "BOUND_LIMIT",
@@ -123,11 +124,9 @@ class Problem:
     name: str = ""
 
     def __post_init__(self):
-        if not (self.dim % 1 == 0 and self.dim >= 1):  # NaN fails both checks
-            raise ValueError("dim must be a whole number >= 1")
+        object.__setattr__(self, "dim", whole(self.dim, "dim", 1))
         if not self.sigma >= 0:
             raise ValueError("sigma must be >= 0")
-        object.__setattr__(self, "dim", int(self.dim))
         lo = np.broadcast_to(np.asarray(self.lower, dtype=float), (self.dim,)).copy()
         hi = np.broadcast_to(np.asarray(self.upper, dtype=float), (self.dim,)).copy()
         if not np.all(lo < hi):
@@ -222,7 +221,8 @@ def evaluate(problem, x):
 
 
 # ---------------------------------------------------------------------------
-# Analytic suite.  All problems use bounds [-5, 5]^dim and require dim >= 2.
+# Analytic suite.  Every problem lives on the box [-5, 5]^dim at any whole
+# dim >= 2; ``_SUITE`` holds what differs between them.
 
 def _sphere_shifted(x):
     return ((x - 0.5) ** 2).sum(axis=-1)
@@ -263,83 +263,31 @@ def _rosenbrock(x):
     return (100.0 * (tail - head ** 2) ** 2 + (1.0 - head) ** 2).sum(axis=-1)
 
 
-def _ball_excess(x, radius_sq):
-    return (x ** 2).sum(axis=-1) - radius_sq
+def _ball_excess(x):
+    # outside the ball of squared radius 2 * dim about the origin
+    return (x ** 2).sum(axis=-1) - 2.0 * x.shape[-1]
 
 
-def _build_p1(dim):
-    return Problem(
-        dim=dim, lower=-5.0, upper=5.0,
-        objective=_sphere_shifted,
-        inequalities=(_first_coordinate_slack,),
-        known_optimum=0.0,
-        known_optimizer=np.full(dim, 0.5),
-        name="P1-sphere-shifted",
-    )
-
-
-def _build_p2(dim):
-    return Problem(
-        dim=dim, lower=-5.0, upper=5.0,
-        objective=_sphere,
-        inequalities=(_simplex_face,),
-        known_optimum=1.0 / dim,
-        known_optimizer=np.full(dim, 1.0 / dim),
-        name="P2-active-linear",
-    )
-
-
-def _build_p3(dim):
-    optimizer = np.zeros(dim)
-    optimizer[:2] = 0.5
-    return Problem(
-        dim=dim, lower=-5.0, upper=5.0,
-        objective=_sphere,
-        equalities=(_two_coordinate_sum,),
-        known_optimum=0.5,
-        known_optimizer=optimizer,
-        name="P3-equality",
-    )
-
-
-def _build_p4(dim):
-    return Problem(
-        dim=dim, lower=-5.0, upper=5.0,
-        objective=_sphere_at_two,
-        inequalities=(_island_gap,),
-        known_optimum=0.0,
-        known_optimizer=np.full(dim, 2.0),
-        name="P4-disconnected",
-    )
-
-
-def _build_p5(dim):
-    return Problem(
-        dim=dim, lower=-5.0, upper=5.0,
-        objective=_rosenbrock,
-        inequalities=(functools.partial(_ball_excess, radius_sq=2.0 * dim),),
-        known_optimum=0.0,
-        known_optimizer=np.ones(dim),
-        name="P5-rosenbrock-ball",
-    )
-
-
-_SUITE_BUILDERS = {
-    "P1-sphere-shifted": _build_p1,
-    "P2-active-linear": _build_p2,
-    "P3-equality": _build_p3,
-    "P4-disconnected": _build_p4,
-    "P5-rosenbrock-ball": _build_p5,
+# one row per problem: the objective, the inequalities, the equalities, and
+# the optimum and an optimizer at dimension d
+_SUITE = {
+    "P1-sphere-shifted": (_sphere_shifted, (_first_coordinate_slack,), (),
+                          lambda d: (0.0, np.full(d, 0.5))),
+    "P2-active-linear": (_sphere, (_simplex_face,), (), lambda d: (1.0 / d, np.full(d, 1.0 / d))),
+    "P3-equality": (_sphere, (), (_two_coordinate_sum,),
+                    lambda d: (0.5, 0.5 * (np.arange(d) < 2))),
+    "P4-disconnected": (_sphere_at_two, (_island_gap,), (), lambda d: (0.0, np.full(d, 2.0))),
+    "P5-rosenbrock-ball": (_rosenbrock, (_ball_excess,), (), lambda d: (0.0, np.ones(d))),
 }
 
-SUITE_IDS = tuple(_SUITE_BUILDERS)
+SUITE_IDS = tuple(_SUITE)
 
 _SHORT_IDS = {full.split("-")[0]: full for full in SUITE_IDS}
 
 
 def canonical_problem_id(name):
     """Resolve a short id like ``P2`` or a full id to the canonical suite id."""
-    if name in _SUITE_BUILDERS:
+    if name in _SUITE:
         return name
     short = name.upper()
     if short in _SHORT_IDS:
@@ -348,7 +296,11 @@ def canonical_problem_id(name):
 
 
 def make_suite_problem(name, dim):
-    """Build a suite problem by id at the requested dimension (dim >= 2)."""
-    if dim < 2:
-        raise ValueError("suite problems require dim >= 2")
-    return _SUITE_BUILDERS[canonical_problem_id(name)](dim)
+    """Build a suite problem by id on [-5, 5]^dim, at any whole dim >= 2."""
+    dim = whole(dim, "dim", 2)
+    pid = canonical_problem_id(name)
+    objective, inequalities, equalities, optimum_at = _SUITE[pid]
+    optimum, optimizer = optimum_at(dim)
+    return Problem(dim=dim, lower=-5.0, upper=5.0, objective=objective,
+                   inequalities=inequalities, equalities=equalities,
+                   known_optimum=optimum, known_optimizer=optimizer, name=pid)

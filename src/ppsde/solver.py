@@ -72,6 +72,7 @@ from functools import partial
 
 import numpy as np
 
+from ._counts import whole
 from .de import (  # noqa: F401 - the names perfbench/tracing.py wraps stay bound
     ParameterMemory,
     current_to_pbest_batch,
@@ -179,27 +180,16 @@ class RunResult:
 def _resolve(problem, config):
     if config.algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {config.algorithm!r}; choose from {ALGORITHMS}")
-    n = config.n_pop if config.n_pop is not None else max(5 * problem.dim, 8)
-    t = config.top_size if config.top_size is not None else n // 2
-    fes = config.max_fes if config.max_fes is not None else 20000 * problem.dim
-    period = config.learning_period
-    seed = config.seed
-    # every check is written so that NaN fails it; a float such as 1e5 passes the first
-    checks = (
-        (seed is not None and seed >= 0 and seed % 1 == 0,
-         "seed must be a non-negative whole number"),
-        (all(v % 1 == 0 for v in (n, t, fes, period)),
-         "population, top size, budget and learning period must be whole numbers"),
-        (n >= 4, "population size must be >= 4"),
-        (4 <= t <= n, "top size must satisfy 4 <= top <= population size"),
-        (fes >= n, "evaluation budget must cover the initial population"),
-        (period >= 1, "learning period must be >= 1"),
-    )
-    for ok, message in checks:
-        if not ok:
-            raise ValueError(message)
-    return replace(config, seed=int(seed), n_pop=int(n), top_size=int(t), max_fes=int(fes),
-                   learning_period=int(period))
+    seed = whole(config.seed, "seed", 0)
+    n = whole(config.n_pop if config.n_pop is not None else max(5 * problem.dim, 8),
+              "population size", 4)
+    t = whole(config.top_size if config.top_size is not None else n // 2, "top size", 4)
+    if t > n:
+        raise ValueError("top size must be at most the population size")
+    fes = whole(config.max_fes if config.max_fes is not None else 20000 * problem.dim,
+                "evaluation budget", n)
+    period = whole(config.learning_period, "learning period", 1)
+    return replace(config, seed=seed, n_pop=n, top_size=t, max_fes=fes, learning_period=period)
 
 
 def _top_race(major, minor):

@@ -1,5 +1,5 @@
-"""The public names of the package and of each module resolve, and each
-module uses what it imports."""
+"""The public names of the package and of each module resolve, each module
+uses what it imports, and each public name has a use outside the unit tests."""
 
 import ast
 import importlib
@@ -69,6 +69,63 @@ def test_the_import_check_finds_an_unused_name():
               "__all__ = ['loads']\n"
               "print(sys.argv)\n")
     assert _unused_imports(source) == [(2, "os"), (4, "to_json")]
+
+
+def _is_all(node):
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+
+
+def _unreferenced_exports(modules, others):
+    """The ``(module, name)`` pairs of ``__all__`` names that no source refers to.
+
+    ``modules`` maps a module's label to its source, and ``others`` holds
+    further sources that may refer to their names.  A name is referred to
+    when some source reads it, reads it as an attribute or spells it as a
+    whole string, as a ``getattr`` target does.  Its definition, an import
+    of it and its entry in an ``__all__`` do not count.
+    """
+    used, exports = set(), []
+    for source in (*modules.values(), *others):
+        tree = ast.parse(source)
+        entries = {id(c) for node in tree.body if _is_all(node) for c in ast.walk(node.value)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) and id(node) not in entries:
+                used.add(node.value)
+    for label, source in modules.items():
+        for node in ast.parse(source).body:
+            if _is_all(node):
+                exports += [(label, name) for name in ast.literal_eval(node.value)]
+    return sorted((label, name) for label, name in exports if name not in used)
+
+
+def test_every_exported_name_is_used_outside_the_tests():
+    """A public name is used by the package, a demo, a script or the
+    benchmark, or pinned by the acceptance tests, not kept for unit tests alone."""
+    root = Path(__file__).resolve().parents[1]
+    modules = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(Path(ppsde.__file__).parent.glob("*.py"))}
+    others = [path.read_text(encoding="utf-8")
+              for folder in ("demos", "scripts", "perfbench")
+              for path in sorted((root / folder).rglob("*.py"))]
+    others.append((root / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    assert _unreferenced_exports(modules, others) == []
+
+
+def test_the_export_check_finds_a_name_only_tests_use():
+    module = ("__all__ = ['LIMIT', 'helper', 'traced', 'tested']\n"
+              "LIMIT = 3\n"
+              "def helper():\n    return LIMIT\n"
+              "def traced():\n    pass\n"
+              "def tested():\n    pass\n")
+    caller = "import m\nm.helper()\ngetattr(m, 'traced')\n"
+    unit_test = "from m import tested\ntested()\n"
+    assert _unreferenced_exports({"m.py": module}, [caller]) == [("m.py", "tested")]
+    assert _unreferenced_exports({"m.py": module}, [caller, unit_test]) == []
 
 
 def test_version_matches_project_metadata():

@@ -142,7 +142,7 @@ class TestParseArgs:
         assert by_flag == by_file
         if value % 1:
             code, err = by_flag
-            assert code == 2 and "must be whole numbers" in err
+            assert code == 2 and "must be a whole number" in err
         else:
             (got,) = by_flag.overrides.values()
             assert got == value and type(got) is type(value)
@@ -386,25 +386,24 @@ class TestExperimentSpec:
     @pytest.mark.parametrize("change, message", [
         ({"problems": ()}, "at least one problem"),
         ({"algorithms": ()}, "at least one algorithm"),
-        ({"problems": (("P1-sphere-shifted", 1),)}, "every dimension must be >= 2"),
-        ({"problems": (("P1-sphere-shifted", 2.5),)}, "every dimension must be a whole number"),
-        ({"problems": (("P1-sphere-shifted", math.nan),)},
-         "every dimension must be a whole number"),
+        ({"problems": (("P1-sphere-shifted", 1),)}, "dim must be a whole number >= 2"),
+        ({"problems": (("P1-sphere-shifted", 2.5),)}, "dim must be a whole number >= 2"),
+        ({"problems": (("P1-sphere-shifted", math.nan),)}, "dim must be a whole number >= 2"),
         ({"problems": (("P9", 2),)}, "unknown problem id"),
         ({"problems": (("P1-sphere-shifted", 2),) * 2}, "cell may be given only once"),
         ({"problems": (("P1", 2), ("P1-sphere-shifted", 2))}, "cell may be given only once"),
         ({"algorithms": ("pps-de", "nope")}, "unknown algorithm"),
         ({"algorithms": ("pps-de", "sf-de", "pps-de")}, "algorithm may be given only once"),
-        ({"runs": 0}, "runs must be >= 1"),
+        ({"runs": 0}, "runs must be a whole number >= 1"),
         ({"runs": 2.5}, "runs must be a whole number"),
-        ({"workers": 0}, "workers must be >= 1"),
+        ({"workers": 0}, "workers must be a whole number >= 1"),
         ({"workers": 1.5}, "workers must be a whole number"),
         ({"overrides": {"seed": 5}}, "unknown override key"),
         ({"overrides": {"max_fes": 300, "bogus": 1}}, "unknown override key"),
-        ({"base_seed": -1}, "seed must be a non-negative whole number"),
-        ({"base_seed": 1.5}, "seed must be a non-negative whole number"),
-        ({"base_seed": math.nan}, "seed must be a non-negative whole number"),
-        ({"overrides": {"n_pop": 3}}, "population size must be >= 4"),
+        ({"base_seed": -1}, "seed must be a whole number >= 0"),
+        ({"base_seed": 1.5}, "seed must be a whole number >= 0"),
+        ({"base_seed": math.nan}, "seed must be a whole number >= 0"),
+        ({"overrides": {"n_pop": 3}}, "population size must be a whole number >= 4"),
         ({"overrides": {"sigma": math.nan}}, "unknown override key"),
     ], ids=["no-problem", "no-algorithm", "dim-1", "dim-fraction", "dim-nan", "unknown-problem",
             "repeated-cell", "repeated-short-id", "unknown-algorithm", "repeated-algorithm",

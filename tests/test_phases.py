@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppsde import SUITE_IDS, RunConfig, make_suite_problem, run
-from ppsde.de import ParameterMemory, StrategyStats
+from ppsde import SUITE_IDS, Problem, RunConfig, make_suite_problem, run
+from ppsde.cli import ExperimentSpec
+from ppsde.de import ParameterMemory, StrategyStats, strategy_rates
 from ppsde.phases import (
     DECAY_POWER,
     EPS_CUTOFF_FRACTION,
@@ -337,12 +338,54 @@ def test_run_builds_neither_phase_class(monkeypatch):
         assert PULL in res.trace.phase
 
 
-@pytest.mark.parametrize("value", [2.5, math.nan, math.inf])
-@pytest.mark.parametrize("make, message", [
-    (PhaseTracker, "learning period must be a whole number >= 1"),
-    (StrategyStats, "window must be a whole number >= 1"),
-    (ParameterMemory, "memory length must be a whole number >= 1"),
-], ids=["PhaseTracker", "StrategyStats", "ParameterMemory"])
-def test_a_period_window_or_memory_length_must_be_whole(make, message, value):
-    with pytest.raises(ValueError, match=message):
-        make(value)
+def _run_config(**counts):
+    return run(make_suite_problem("P1", 2), RunConfig(**{"max_fes": 100, **counts})).config
+
+
+def _spec(**counts):
+    return ExperimentSpec(**{"problems": (("P1", 2),), "algorithms": ("pps-de",), "runs": 1,
+                             "base_seed": 0, "out_dir": "unused", "overrides": {}, **counts})
+
+
+_WINS = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [5, 0, 0]])
+
+# every count the package reads: the value stored or computed from one count,
+# the name its error gives, and a whole value it accepts
+_COUNT_SITES = {
+    "PhaseTracker": (lambda v: PhaseTracker(v).learning_period, "learning period", 3),
+    "StrategyStats": (lambda v: StrategyStats(v).window, "window", 3),
+    "ParameterMemory": (lambda v: ParameterMemory(v).length, "memory length", 3),
+    "strategy_rates": (lambda v: strategy_rates(_WINS, v).tolist(), "window", 3),
+    "Problem": (lambda v: Problem(dim=v, lower=-1.0, upper=1.0,
+                                  objective=lambda x: x.sum(axis=-1)).dim, "dim", 3),
+    "make_suite_problem": (lambda v: make_suite_problem("P3", v).dim, "dim", 3),
+    "seed": (lambda v: _run_config(seed=v).seed, "seed", 3),
+    "n_pop": (lambda v: _run_config(n_pop=v).n_pop, "population size", 8),
+    "top_size": (lambda v: _run_config(n_pop=8, top_size=v).top_size, "top size", 4),
+    "max_fes": (lambda v: _run_config(max_fes=v).max_fes, "evaluation budget", 100),
+    "learning_period": (lambda v: _run_config(learning_period=v).learning_period,
+                        "learning period", 3),
+    "runs": (lambda v: _spec(runs=v).runs, "runs", 3),
+    "workers": (lambda v: _spec(workers=v).workers, "workers", 3),
+    "base_seed": (lambda v: _spec(base_seed=v).base_seed, "seed", 3),
+}
+_NOT_COUNTS = {"2.5": 2.5, "nan": math.nan, "inf": math.inf, "str": "3", "None": None}
+_DEFAULTED = ("n_pop", "top_size", "max_fes")  # None asks for the default
+
+
+@pytest.mark.parametrize("site, value", [
+    pytest.param(site, value, id=f"{site}-{vid}")
+    for site in _COUNT_SITES for vid, value in _NOT_COUNTS.items()
+    if not (value is None and site in _DEFAULTED)])
+def test_a_period_window_or_memory_length_must_be_whole(site, value):
+    """Every count follows one rule: a value that is not a whole number raises ValueError."""
+    read, what, _ = _COUNT_SITES[site]
+    with pytest.raises(ValueError, match=f"{what} must be a whole number >= "):
+        read(value)
+
+
+@pytest.mark.parametrize("site", _COUNT_SITES)
+def test_a_whole_float_count_is_kept_as_an_int(site):
+    read, _, good = _COUNT_SITES[site]
+    want, got = read(good), read(float(good))
+    assert got == want and type(got) is type(want)

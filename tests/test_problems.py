@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -228,8 +229,17 @@ class TestSuite:
             canonical_problem_id("P9")
 
     def test_dimension_floor(self):
-        with pytest.raises(ValueError):
-            make_suite_problem("P1", 1)
+        """A whole float builds the problem its int builds; any other dim raises ValueError."""
+        xs = np.random.default_rng(8).uniform(-5, 5, (16, 8))
+        for pid in SUITE_IDS:
+            want, got = make_suite_problem(pid, 8), make_suite_problem(pid, 8.0)
+            assert got.dim == 8 and type(got.dim) is int
+            assert got.known_optimizer.tobytes() == want.known_optimizer.tobytes()
+            for a, b in zip(evaluate_many(got, xs), evaluate_many(want, xs)):
+                assert a.tobytes() == b.tobytes()
+            for dim in (1, 2.5, math.nan, math.inf, "3", None):
+                with pytest.raises(ValueError, match="dim must be a whole number >= 2"):
+                    make_suite_problem(pid, dim)
 
     def test_p1_constraint_never_active_in_bounds(self):
         prob = make_suite_problem("P1", 6)
