@@ -6,17 +6,18 @@ are aligned by subtracting each problem's row mean, all aligned values are
 ranked jointly (average ranks on ties), and a chi-squared statistic over the
 column rank sums tests whether the algorithms perform equally.
 
-A batch's matrix for that test has one row per problem.  A row whose cells
-are feasible in every run, or in no run, holds the cell means.  Any other
-row mixes objectives with violations, so it holds its cells' average ranks
-in the order of the CEC 2017 constrained competition (Wu, Mallipeddi &
-Suganthan 2017): feasibility rate, higher first; then mean final violation
-over all runs; then mean final objective over the feasible runs.
+A batch's matrix for that test has one row per problem and one key per
+cell, in the order of the CEC 2017 constrained competition (Wu, Mallipeddi
+& Suganthan 2017): feasibility rate, higher first; then mean final violation
+over all runs; then mean final objective over the feasible runs, inf if
+none.  A row feasible in every run holds the objective column, one feasible
+in no run the violation column, and any other row its cells' average ranks
+under the key.  One tie rule serves every rank: positions equal in every
+key share the mean of their positions.
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -76,36 +77,34 @@ def cell_mean(final_f, final_phi):
 
 
 def friedman_matrix(final_f, final_phi):
-    """The aligned-ranks matrix of a batch and the indices of its ranked rows.
-
-    ``final_f`` and ``final_phi`` hold every run's final objective and
-    violation, shape (problems, algorithms, runs).  A problem whose cells
-    are feasible in every run, or in no run, gets its ``cell_mean`` values;
-    any other problem gets its cells' average ranks, feasibility first, as
-    the module docstring states, and is listed as ranked.
-    """
-    final_f = np.asarray(final_f, dtype=float)
-    final_phi = np.asarray(final_phi, dtype=float)
+    """The aligned-ranks matrix of a batch, built as the module docstring
+    states, and the indices of its ranked rows.  ``final_f`` and ``final_phi``
+    hold every run's final objective and violation, shape (problems,
+    algorithms, runs)."""
+    final_f, final_phi = (np.asarray(v, dtype=float) for v in (final_f, final_phi))
+    if final_f.ndim != 3 or final_f.shape != final_phi.shape or not final_f.size:
+        raise ValueError("need matching non-empty objective and violation samples")
     feasible = final_phi == 0.0
-    matrix = np.array([[cell_mean(f, phi)[0] for f, phi in zip(fs, phis)]
-                       for fs, phis in zip(final_f, final_phi)])
+    rate = feasible.mean(axis=2)
+    violation = final_phi.mean(axis=2)
+    objective = np.array([[np.mean(f[ok]) if ok.any() else np.inf for f, ok in zip(fs, oks)]
+                          for fs, oks in zip(final_f, feasible)])
+    matrix = np.where(rate > 0.0, objective, violation)
     ranked = [p for p, ok in enumerate(feasible) if ok.any() and not ok.all()]
     for p in ranked:
-        keys = [(-ok.mean(), phi.mean(), f[ok].mean() if ok.any() else math.inf)
-                for f, phi, ok in zip(final_f[p], final_phi[p], feasible[p])]
-        # 1 + the cells ahead + half the cells tied: the mean of the tied positions
-        matrix[p] = [1 + sum(k < key for k in keys) + (keys.count(key) - 1) / 2
-                     for key in keys]
+        matrix[p] = _average_ranks(-rate[p], violation[p], objective[p])
     return matrix, ranked
 
 
-def _average_ranks(values):
-    """1-based ranks of a flat array; tied values share the mean of their positions."""
-    order = np.argsort(values)
-    ordered = values[order]
-    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-    ends = np.append(starts[1:], values.size)
-    ranks = np.empty(values.size)
+def _average_ranks(*keys):
+    """1-based ranks of flat arrays' positions sorted by ``keys``, the first
+    primary; positions equal in every key share the mean of their positions."""
+    order = np.lexsort(keys[::-1])
+    ordered = np.array(keys)[:, order]
+    new = np.concatenate(([True], (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)))
+    starts = np.flatnonzero(new)
+    ends = np.append(starts[1:], order.size)
+    ranks = np.empty(order.size)
     ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
     return ranks
 
