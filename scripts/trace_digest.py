@@ -1,4 +1,4 @@
-"""Print one sha256 over the traces of a fixed run matrix and a CLI cell.
+"""Print sha256 digests of the traces of a fixed run matrix and of a CLI batch.
 
 Usage::
 
@@ -15,10 +15,13 @@ imports ``ppsde`` from its ``src`` directory.  It then runs
   budget,
 - one ``cli.execute`` batch of P3, P4 x D=4 x all three algorithms x 2 runs,
 
-and prints a sha256 over each run's ``perfbench.workloads.run_digest`` (best
-point, generation count, switch generation, final evaluation count and every
-trace field) and over the name and bytes of every file the batch wrote.
-Two checkouts print the same digest when their traces are bit-identical.
+and prints three sha256 lines: ``traces <sha>`` over each run's
+``perfbench.workloads.run_digest`` (best point, generation count, switch
+generation, final evaluation count and every trace field), ``outputs <sha>``
+over the name and bytes of every file the batch wrote, and last the combined
+digest over both, in that order.  Two checkouts print the same combined
+digest when their traces and outputs are bit-identical, and the same traces
+digest when the runs of the matrix and the edge runs are.
 The digest function is always taken from this repository's ``perfbench``,
 so both sides are hashed the same way.  A default run takes about half a
 minute on one core.
@@ -71,19 +74,22 @@ def import_checkout(checkout):
 
 
 def digest():
+    """The traces, outputs and combined sha256 hex digests."""
     from ppsde import cli
     from ppsde.problems import make_suite_problem
     from ppsde.solver import RunConfig, run
     from workloads import run_digest
 
-    h = hashlib.sha256()
+    h, traces, outputs = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     for pid, dim, algo, seed, settings, force in MATRIX + EDGE_RUNS:
         problem, settings = make_suite_problem(pid, dim), dict(settings)
         if "sigma" in settings:
             problem = dataclasses.replace(problem, sigma=settings.pop("sigma"))
         config = RunConfig(algorithm=algo, seed=seed, **settings)
         result = run(problem, config, force_win_strategy=force)
-        h.update(run_digest(result).encode())
+        record = run_digest(result).encode()
+        for part in (h, traces):
+            part.update(record)
 
     with tempfile.TemporaryDirectory() as out:
         spec = cli.parse_args(CLI_ARGS + ["--out", out])
@@ -92,16 +98,18 @@ def digest():
         if code != 0:
             raise SystemExit(f"cli.execute returned {code}")
         for name in sorted(os.listdir(out)):
-            h.update(name.encode() + b"\0")
-            h.update(Path(out, name).read_bytes())
-    return h.hexdigest()
+            record = name.encode() + b"\0" + Path(out, name).read_bytes()
+            for part in (h, outputs):
+                part.update(record)
+    return traces.hexdigest(), outputs.hexdigest(), h.hexdigest()
 
 
 def main(argv):
     if len(argv) > 1:
         raise SystemExit(__doc__)
     import_checkout(argv[0] if argv else REPO)
-    print(digest())
+    traces, outputs, combined = digest()
+    print(f"traces {traces}\noutputs {outputs}\n{combined}")
 
 
 if __name__ == "__main__":

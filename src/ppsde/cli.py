@@ -310,7 +310,8 @@ def execute(spec):
 
         friedman = None
         if len(spec.problems) >= 2 and len(spec.algorithms) >= 2:
-            matrix, ranked = friedman_matrix(finals[..., 0], finals[..., 1])
+            optima = [make_suite_problem(pid, dim).known_optimum for pid, dim in spec.problems]
+            matrix, ranked = friedman_matrix(finals[..., 0], finals[..., 1], optima)
             result = friedman_aligned(matrix)
             names = [f"{pid}/D{dim}" for pid, dim in spec.problems]
             friedman = {

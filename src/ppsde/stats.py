@@ -10,10 +10,13 @@ A batch's matrix for that test has one row per problem and one key per
 cell, in the order of the CEC 2017 constrained competition (Wu, Mallipeddi
 & Suganthan 2017): feasibility rate, higher first; then mean final violation
 over all runs; then mean final objective over the feasible runs, inf if
-none.  A row feasible in every run holds the objective column, one feasible
-in no run the violation column, and any other row its cells' average ranks
-under the key.  One tie rule serves every rank: positions equal in every
-key share the mean of their positions.
+none.  Where a problem's optimum f* is known, a feasible run's objective
+enters as its error value f - f*, an error below 1e-8, a negative one
+included, counting as 0 as in the CEC reports (Liang, Qu & Suganthan 2013).
+A row feasible in every run holds the objective column, one feasible in no
+run the violation column, and any other row its cells' average ranks under
+the key.  One tie rule serves every rank: positions equal in every key
+share the mean of their positions.
 """
 
 from __future__ import annotations
@@ -24,6 +27,9 @@ import numpy as np
 
 __all__ = ["FriedmanAligned", "Summary", "cell_mean", "friedman_aligned", "friedman_matrix",
            "summarize"]
+
+
+_ERROR_FLOOR = 1e-8  # an error value below this counts as 0
 
 
 class Summary(NamedTuple):
@@ -44,18 +50,24 @@ def summarize(values):
     """Summary statistics of a non-empty sample.
 
     The standard deviation uses the n-1 normalization; a single observation
-    reports 0 by convention.  Best is the minimum, worst the maximum.
+    reports 0 by convention.  Best is the minimum, worst the maximum.  The
+    median equals ``np.median``'s bit for bit, signed zeros and NaN included,
+    without its import of ``numpy.ma``: the same partition, then ``np.mean``
+    of the middle values.
     """
     values = np.asarray(values, dtype=float)
-    if values.size == 0:
+    n = values.size
+    if n == 0:
         raise ValueError("cannot summarize an empty sample")
-    std = float(np.std(values, ddof=1)) if values.size > 1 else 0.0
+    middle = [n // 2 - 1, n // 2] if n % 2 == 0 else [n // 2]
+    part = np.partition(values.ravel(), middle + [-1])  # np.median's index list
+    std = float(np.std(values, ddof=1)) if n > 1 else 0.0
     return Summary(
         mean=float(np.mean(values)),
         std=std,
         best=float(np.min(values)),
         worst=float(np.max(values)),
-        median=float(np.median(values)),
+        median=float(part[-1] if np.isnan(part[-1]) else np.mean(part[middle])),
     )
 
 
@@ -76,19 +88,24 @@ def cell_mean(final_f, final_phi):
     return float(np.mean(final_phi)), True
 
 
-def friedman_matrix(final_f, final_phi):
+def friedman_matrix(final_f, final_phi, known_optima=None):
     """The aligned-ranks matrix of a batch, built as the module docstring
     states, and the indices of its ranked rows.  ``final_f`` and ``final_phi``
     hold every run's final objective and violation, shape (problems,
-    algorithms, runs)."""
+    algorithms, runs).  ``known_optima`` holds each problem's optimum, or
+    None where a problem has none or keeps its raw objective."""
     final_f, final_phi = (np.asarray(v, dtype=float) for v in (final_f, final_phi))
-    if final_f.ndim != 3 or final_f.shape != final_phi.shape or not final_f.size:
-        raise ValueError("need matching non-empty objective and violation samples")
+    optima = [None] * len(final_f) if known_optima is None else list(known_optima)
+    if (final_f.ndim != 3 or final_f.shape != final_phi.shape or not final_f.size
+            or len(optima) != len(final_f)):
+        raise ValueError("need matching non-empty samples and one optimum slot per problem")
     feasible = final_phi == 0.0
     rate = feasible.mean(axis=2)
     violation = final_phi.mean(axis=2)
-    objective = np.array([[np.mean(f[ok]) if ok.any() else np.inf for f, ok in zip(fs, oks)]
-                          for fs, oks in zip(final_f, feasible)])
+    errors = [f if f_star is None else np.where(f - f_star < _ERROR_FLOOR, 0.0, f - f_star)
+              for f, f_star in zip(final_f, optima)]
+    objective = np.array([[np.mean(e[ok]) if ok.any() else np.inf for e, ok in zip(es, oks)]
+                          for es, oks in zip(errors, feasible)])
     matrix = np.where(rate > 0.0, objective, violation)
     ranked = [p for p, ok in enumerate(feasible) if ok.any() and not ok.all()]
     for p in ranked:

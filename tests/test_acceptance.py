@@ -2,12 +2,16 @@
 
 Each test prints a single ``[acceptance] ... PASS/FAIL`` line.  The first
 two share expensive run batches through session fixtures; run this module
-with ``-s`` to watch the lines appear.  The full module takes a few minutes
-because it executes the complete benchmark workloads at default budgets.
+with ``-s`` to watch the lines appear.  The full module executes the
+complete benchmark workloads at default budgets, spread over two worker
+processes where two cores exist, and takes about a minute there.
 """
 
 import json
 import os
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
+from multiprocessing import get_context
 
 import numpy as np
 import pytest
@@ -33,9 +37,19 @@ def report(cid, ok, detail):
     assert ok, line
 
 
+def seeded_run(pid, algorithm, seed):
+    return run(make_suite_problem(pid, 10), RunConfig(algorithm=algorithm, seed=seed))
+
+
 def batch(pid, algorithm, runs=RUNS):
-    prob = make_suite_problem(pid, 10)
-    return [run(prob, RunConfig(algorithm=algorithm, seed=s)) for s in range(runs)]
+    """Seeds 0..runs-1 in order, over up to two worker processes."""
+    task = partial(seeded_run, pid, algorithm)
+    workers = min(2, os.cpu_count() or 1)
+    if workers == 1:
+        return [task(seed) for seed in range(runs)]
+    # spawned, not forked, workers: the test process may hold threads
+    with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
+        return list(pool.map(task, range(runs)))
 
 
 def successes(results, known_optimum):

@@ -169,6 +169,16 @@ def test_a_run_loads_no_numpy_ma():
     assert "numpy.ma" not in loaded
 
 
+def test_a_batch_loads_no_numpy_ma(tmp_path):
+    # np.median in the cell summaries would load numpy.ma
+    argv = ["run", "--problem", "P1", "--dim", "2", "--runs", "3", "--max-fes", "200",
+            "--out", str(tmp_path)]
+    loaded = _loaded_modules_after("from ppsde.cli import execute, parse_args\n"
+                                   f"assert execute(parse_args({argv!r})) == 0")
+    assert (tmp_path / "summary.json").is_file()
+    assert "numpy.ma" not in loaded
+
+
 def _bound(owner, attr):
     # a class's own attribute as stored (a classmethod stays one), else getattr
     return vars(owner)[attr] if isinstance(owner, type) else getattr(owner, attr)

@@ -591,8 +591,10 @@ class TestExecute:
     def test_summary_statistics_match_trace_files(self, tmp_path):
         """Every cell record, the cells on violation and every Friedman
         matrix entry equal what the run's trace CSVs give, so each sits at
-        its own problem and algorithm.  The second batch has cells of both
-        kinds: its P3 cells end infeasible and its P4 cells feasible."""
+        its own problem and algorithm; a feasible cell's matrix entry is its
+        mean error value, an error below 1e-8 counting as 0.  The second
+        batch has cells of both kinds: its P3 cells end infeasible and its
+        P4 cells feasible."""
         specs = [fast_spec(tmp_path / "fast"),
                  fast_spec(tmp_path / "p3p4",
                            problems=(("P3-equality", 2), ("P4-disconnected", 2)),
@@ -628,7 +630,10 @@ class TestExecute:
                         "best": sample.min(), "worst": sample.max(),
                         "median": np.median(sample),
                     }, key
-                    assert friedman["matrix"][p][a] == np.mean(sample), key
+                    error = last_f - make_suite_problem(pid, dim).known_optimum
+                    error[error < 1e-8] = 0.0
+                    entry = np.mean(error[feasible]) if feasible.any() else np.mean(last_phi)
+                    assert friedman["matrix"][p][a] == entry, key
             assert friedman["cells_on_violation"] == sorted(on_violation)
         assert 0 < len(on_violation) < len(summary["cells"])
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ppsde import solver
 from ppsde.de import ParameterMemory
-from ppsde.phases import PULL, PUSH, SF
+from ppsde.phases import PULL, PUSH, SF, SWITCH_THRESHOLD
 from ppsde.problems import BOUND_LIMIT, SUITE_IDS, Problem, evaluate, make_suite_problem
 from ppsde.selection import (
     eps_key,
@@ -332,6 +332,18 @@ class TestRunInvariants:
         pull_rows = ~push_rows
         assert np.all(np.isfinite(res.trace.eps[pull_rows]))
         assert np.all(res.trace.eps[pull_rows] >= 0.0)
+
+    def test_a_rate_at_the_threshold_switches(self, monkeypatch):
+        # the switch test is rate <= SWITCH_THRESHOLD, so a rate of exactly
+        # the threshold at generation g switches there and pulls from g + 1
+        g = 6
+        monkeypatch.setattr(solver, "change_rate", lambda minima, period:
+                            SWITCH_THRESHOLD if len(minima) == g + 1 else 1.0)
+        res = small_run(pid="P2", dim=3, max_fes=1500, seed=3)
+        assert res.generations > g + 1
+        assert res.trace.rate[g] == SWITCH_THRESHOLD
+        assert res.switch_generation == g
+        assert list(res.trace.phase[g:g + 2]) == [PUSH, PULL]
 
     def test_win_and_pick_counts_account_for_everyone(self):
         # a top race whose best trials tie credits no strategy, so the wins

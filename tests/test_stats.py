@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.stats as ss
@@ -52,6 +54,13 @@ class TestSummarize:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             summarize([])
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, math.nan])
+                           | st.floats(-1e3, 1e3), min_size=1, max_size=12))
+    def test_median_equals_numpys_bit_for_bit(self, values):
+        # few distinct values, so the middle pair often holds zeros of both signs
+        assert np.float64(summarize(values).median).tobytes() == np.median(values).tobytes()
 
 
 class TestCellMean:
@@ -113,6 +122,49 @@ class TestFriedmanMatrix:
             expected = [np.mean([i + 1 for i, k in enumerate(order) if k == key])
                         for key in keys]
             assert matrix[p].tolist() == expected
+
+
+class TestErrorValues:
+    def test_a_row_at_the_optimum_ties(self):
+        """P1, P2 and P5 at D=10, every run feasible at the optimum: the P2
+        cells sit -5.55e-17, -2.78e-17 and 0 from f* = 1/D.  On the raw
+        objective that rounding alone ranks the algorithms; as error values
+        every cell counts 0, so the row ties and no algorithm is favoured."""
+        optima = [0.0, 1.0 / 10, 0.0]
+        final_f = np.zeros((3, 3, 5))
+        final_f[1] = (optima[1] + np.array([-5.55e-17, -2.78e-17, 0.0]))[:, None]
+        final_phi = np.zeros_like(final_f)
+        raw, _ = friedman_matrix(final_f, final_phi)
+        assert len(set(raw[1])) == 3
+        assert len(set(friedman_aligned(raw).avg_ranks)) == 3
+        matrix, ranked = friedman_matrix(final_f, final_phi, optima)
+        assert matrix.tolist() == [[0.0] * 3] * 3 and ranked == []
+        np.testing.assert_array_equal(friedman_aligned(matrix).avg_ranks, [5.0, 5.0, 5.0])
+
+    def test_errors_enter_the_objective_column_only(self):
+        # errors of 2e-8 and 3e-8 stay, one of 1e-9 and a negative one count
+        # 0, and the problem without an optimum keeps its objective
+        final_f = [[[0.5 + 2e-8, 0.5 + 3e-8], [0.4, 0.5 + 1e-9]], [[7.0, 7.0], [9.0, 9.0]]]
+        final_phi = np.zeros((2, 2, 2))
+        matrix, ranked = friedman_matrix(final_f, final_phi, [0.5, None])
+        assert matrix.tolist() == [[np.mean(np.array(final_f[0][0]) - 0.5), 0.0], [7.0, 9.0]]
+        assert ranked == []
+
+    def test_a_mixed_row_ranks_the_errors(self):
+        # the first two cells are feasible in every run at errors that count 0
+        final_f = [[[1e-9, -1.0], [0.0, 0.0], [5.0, 5.0]]]
+        final_phi = [[[0.0, 0.0], [0.0, 0.0], [0.0, 2.0]]]
+        assert friedman_matrix(final_f, final_phi)[0].tolist() == [[1.0, 2.0, 3.0]]
+        matrix, ranked = friedman_matrix(final_f, final_phi, [0.0])
+        assert matrix.tolist() == [[1.5, 1.5, 3.0]] and ranked == [0]
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            friedman_matrix([[[1.0]]], [[[0.0, 0.0]]])
+        with pytest.raises(ValueError):
+            friedman_matrix(np.empty((1, 2, 0)), np.empty((1, 2, 0)))
+        with pytest.raises(ValueError):
+            friedman_matrix([[[1.0], [2.0]]], [[[0.0], [0.0]]], [0.0, 0.0])
 
 
 class TestFriedmanAligned:
