@@ -17,9 +17,8 @@ from .de import (
 from .phases import EpsilonSchedule, PhaseTracker
 from .problems import (
     SUITE_IDS,
-    Evaluation,
     EvaluationError,
-    Individual,
+    Point,
     Problem,
     canonical_problem_id,
     evaluate,
@@ -35,16 +34,15 @@ from .solver import (
 )
 from .stats import friedman_aligned, summarize
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = [
     "ALGORITHMS",
     "EpsilonSchedule",
-    "Evaluation",
     "EvaluationError",
-    "Individual",
     "ParameterMemory",
     "PhaseTracker",
+    "Point",
     "Problem",
     "RunConfig",
     "RunResult",

@@ -27,8 +27,7 @@ from ._counts import whole
 __all__ = [
     "BOUND_LIMIT",
     "EvaluationError",
-    "Evaluation",
-    "Individual",
+    "Point",
     "Problem",
     "SUITE_IDS",
     "canonical_problem_id",
@@ -56,29 +55,20 @@ class EvaluationError(ValueError):
 
 
 @dataclass(frozen=True)
-class Evaluation:
-    """One evaluated point: objective, raw constraint values, total violation."""
-
-    f: float
-    g_values: np.ndarray
-    h_values: np.ndarray
-    phi: float
-
-
-@dataclass(frozen=True)
-class Individual:
-    """A decision vector together with its evaluation."""
+class Point:
+    """One evaluated point: its vector, objective, total violation and raw
+    constraint values."""
 
     x: np.ndarray
-    evaluation: Evaluation
+    f: float
+    phi: float
+    g_values: np.ndarray
+    h_values: np.ndarray
 
     @property
-    def f(self):
-        return self.evaluation.f
-
-    @property
-    def phi(self):
-        return self.evaluation.phi
+    def evaluation(self):
+        # only perfbench/workloads.run_digest reads this; no ppsde module does
+        return self
 
 
 @dataclass(frozen=True)
@@ -210,14 +200,15 @@ def evaluate_many(problem, xs):
 
 
 def evaluate(problem, x):
-    """Evaluate a single point lying inside the bounds, returning an Evaluation."""
-    x = np.asarray(x, dtype=float)
+    """Evaluate a single point lying inside the bounds, returning a Point
+    that holds a copy of it."""
+    x = np.array(x, dtype=float)
     if x.shape != (problem.dim,):
         raise ValueError(f"expected a point of shape ({problem.dim},)")
     if np.any(x < problem.lower) or np.any(x > problem.upper):
         raise ValueError("point lies outside the box bounds")
     f, g, h, phi = evaluate_many(problem, x[None, :])
-    return Evaluation(f=float(f[0]), g_values=g[0], h_values=h[0], phi=float(phi[0]))
+    return Point(x, float(f[0]), float(phi[0]), g[0], h[0])
 
 
 # ---------------------------------------------------------------------------

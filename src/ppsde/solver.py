@@ -85,7 +85,7 @@ from .de import (  # noqa: F401 - the names perfbench/tracing.py wraps stay boun
 )
 from .phases import (EPS_CUTOFF_FRACTION, PULL, PUSH, SF, SWITCH_THRESHOLD, change_rate,
                      eps_level, initial_eps)
-from .problems import Evaluation, Individual, evaluate_many
+from .problems import Point, evaluate_many
 from .selection import (  # noqa: F401 - the names perfbench/tracing.py wraps stay bound
     eps_key,
     key_less_equal,
@@ -168,7 +168,7 @@ class RunResult:
     every field.
     """
 
-    best: Individual
+    best: Point
     trace: RunTrace
     final_fes: int
     generations: int
@@ -225,8 +225,8 @@ def _acceptance(parent_key, cand_key, parent_phi, cand_phi):
 
 
 def _member(x, f, phi, g, h):
-    """One evaluated point as an Individual of copies."""
-    return Individual(x.copy(), Evaluation(float(f), g.copy(), h.copy(), float(phi)))
+    """One evaluated point as a Point of copies."""
+    return Point(x.copy(), float(f), float(phi), g.copy(), h.copy())
 
 
 def run(problem, config, *, force_win_strategy=None):

@@ -101,11 +101,10 @@ def fold_reference(memory, strategies, f, cr, delta):
 
 
 def _sf_compare(a, b):
-    # a sort comparison of two (x, evaluation) members: feasibility-first
-    (_, ea), (_, eb) = a, b
-    if strictly_better(SF, ea.phi, ea.f, eb.phi, eb.f, math.nan):
+    # a sort comparison of two evaluated points: feasibility-first
+    if strictly_better(SF, a.phi, a.f, b.phi, b.f, math.nan):
         return -1
-    return 1 if strictly_better(SF, eb.phi, eb.f, ea.phi, ea.f, math.nan) else 0
+    return 1 if strictly_better(SF, b.phi, b.f, a.phi, a.f, math.nan) else 0
 
 
 def _sf_sorted(members):
@@ -161,7 +160,7 @@ def reference_run(problem, config):
     """The run ``ppsde.solver.run(problem, config)`` makes, one member at a time.
 
     ``config`` must give ``n_pop``, ``top_size`` and ``max_fes``.  Returns a
-    namespace with ``best`` (a decision vector and its ``Evaluation``),
+    namespace with ``best`` (the best ``Point``),
     ``switch_generation`` and ``trace``, a dict of one list per ``RunTrace``
     field.
     """
@@ -177,7 +176,7 @@ def reference_run(problem, config):
     targets = list(range(t)) * 3 + list(range(t, n))
     top_strategies = [s for s in range(3) for _ in range(t)]
 
-    pop = _sf_sorted([(x, evaluate(problem, x))
+    pop = _sf_sorted([evaluate(problem, x)
                       for x in rng.uniform(problem.lower, problem.upper, size=(n, d))])
     best = pop[0]
     memory = SimpleNamespace(length=MEMORY_LENGTH, pointer=[0] * 3,
@@ -189,9 +188,9 @@ def reference_run(problem, config):
     trace = {field.name: [] for field in dataclasses.fields(RunTrace)}
 
     for generation in range(n_gen):
-        feasible_ratio = sum(ev.phi == 0.0 for _, ev in pop) / n
+        feasible_ratio = sum(p.phi == 0.0 for p in pop) / n
         if generation == pull_start:
-            eps_initial = float(np.quantile([ev.phi for _, ev in pop], EPS_QUANTILE))
+            eps_initial = float(np.quantile([p.phi for p in pop], EPS_QUANTILE))
             level = eps_initial
         if algorithm == "sf-de":
             mode, eps = SF, math.nan
@@ -231,13 +230,13 @@ def reference_run(problem, config):
         cr = [min(max(loc + 0.1 * z, 0.0), 1.0)
               for loc, z in zip(loc_cr, rng.standard_normal(m))]
 
-        xs = trials_reference([x for x, _ in pop], targets, strategies, f, cr,
+        xs = trials_reference([p.x for p in pop], targets, strategies, f, cr,
                               rng.random(m * (6 + d)), lower, upper)
-        trials = [(x, evaluate(problem, x)) for x in xs]
+        trials = [evaluate(problem, x) for x in xs]
 
-        top = [[trials[s * t + i][1] for i in range(t)] for s in range(3)]
-        winner, outright = race_reference(mode, np.array([[ev.phi for ev in row] for row in top]),
-                                          np.array([[ev.f for ev in row] for row in top]), eps)
+        top = [[trials[s * t + i] for i in range(t)] for s in range(3)]
+        winner, outright = race_reference(mode, np.array([[p.phi for p in row] for row in top]),
+                                          np.array([[p.f for p in row] for row in top]), eps)
         wins = [0, 0, 0]
         for s, credited in zip(winner, outright):
             wins[s] += bool(credited)
@@ -247,7 +246,7 @@ def reference_run(problem, config):
         kept, successes = [], ([], [], [], [])  # strategy, F, CR and improvement
         for i in range(n):
             row = winner[i] * t + i if i < t else 3 * t + i - t
-            (_, parent), (_, cand) = pop[i], trials[row]
+            parent, cand = pop[i], trials[row]
             if accept_reference(mode, parent.phi, parent.f, cand.phi, cand.f, eps):
                 kept.append(trials[row])
                 delta = float(delta_reference(mode, parent.phi, parent.f, cand.phi, cand.f,
@@ -259,8 +258,8 @@ def reference_run(problem, config):
         fold_reference(memory, *successes)
         pop = _sf_sorted(kept)
 
-        pop_min_f = min(ev.f for _, ev in pop)
-        if strictly_better(SF, pop[0][1].phi, pop[0][1].f, best[1].phi, best[1].f, math.nan):
+        pop_min_f = min(p.f for p in pop)
+        if strictly_better(SF, pop[0].phi, pop[0].f, best.phi, best.f, math.nan):
             best = pop[0]
 
         rate = math.nan
@@ -273,8 +272,8 @@ def reference_run(problem, config):
             if switch_generation is None and rate <= SWITCH_THRESHOLD:
                 switch_generation, pull_start = generation, generation + 1
 
-        record = dict(generation=generation, fes=n + m * (generation + 1), best_f=best[1].f,
-                      best_phi=best[1].phi, phase=mode, eps=eps, sr=sr, pop_min_f=pop_min_f,
+        record = dict(generation=generation, fes=n + m * (generation + 1), best_f=best.f,
+                      best_phi=best.phi, phase=mode, eps=eps, sr=sr, pop_min_f=pop_min_f,
                       feasible_ratio=feasible_ratio, wins=wins,
                       bottom_strategies=[picks.count(s) for s in range(3)], rate=rate)
         for name, value in record.items():

@@ -315,8 +315,8 @@ class TestRunInvariants:
             assert (f[-1], phi[-1]) == (res.best.f, res.best.phi)
         again = evaluate(problem, res.best.x)
         assert (again.f, again.phi) == (res.best.f, res.best.phi)
-        np.testing.assert_array_equal(res.best.evaluation.g_values, again.g_values)
-        np.testing.assert_array_equal(res.best.evaluation.h_values, again.h_values)
+        np.testing.assert_array_equal(res.best.g_values, again.g_values)
+        np.testing.assert_array_equal(res.best.h_values, again.h_values)
 
     def test_phase_column_is_push_then_pull(self):
         res = small_run(pid="P2", dim=3, max_fes=6000, seed=3)
@@ -373,11 +373,9 @@ class TestRunInvariants:
         for field in dataclasses.fields(solver.RunTrace):
             np.testing.assert_array_equal(getattr(a.trace, field.name),
                                           getattr(b.trace, field.name), err_msg=field.name)
-        np.testing.assert_array_equal(a.best.x, b.best.x)
-        for field in dataclasses.fields(a.best.evaluation):
-            np.testing.assert_array_equal(getattr(a.best.evaluation, field.name),
-                                          getattr(b.best.evaluation, field.name),
-                                          err_msg=field.name)
+        for field in dataclasses.fields(a.best):
+            np.testing.assert_array_equal(getattr(a.best, field.name),
+                                          getattr(b.best, field.name), err_msg=field.name)
         for field in dataclasses.fields(solver.RunResult):
             if field.name not in ("best", "trace"):
                 assert getattr(a, field.name) == getattr(b, field.name), field.name
@@ -438,11 +436,9 @@ class TestReferenceRun:
             theirs = np.array(want.trace[field.name], dtype=ours.dtype)
             np.testing.assert_array_equal(ours, theirs, err_msg=field.name)
             assert ours.tobytes() == theirs.tobytes(), field.name
-        x, evaluation = want.best
-        assert got.best.x.tobytes() == x.tobytes()
-        for field in dataclasses.fields(evaluation):
-            assert (np.asarray(getattr(got.best.evaluation, field.name)).tobytes()
-                    == np.asarray(getattr(evaluation, field.name)).tobytes()), field.name
+        for field in dataclasses.fields(want.best):
+            assert (np.asarray(getattr(got.best, field.name)).tobytes()
+                    == np.asarray(getattr(want.best, field.name)).tobytes()), field.name
         assert got.switch_generation == want.switch_generation
 
 
