@@ -12,6 +12,7 @@ same specification reproduces them byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -221,13 +222,31 @@ def parse_args(argv):
         parser.error(str(exc))
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """A temporary path beside ``path`` that replaces it when the block ends.
+
+    A block that raises removes the temporary file and leaves ``path`` as it
+    was, so a report file that exists is whole.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_trace_csv(result, path):
-    """Write one run's convergence trace with round-trip float precision."""
+    """Write one run's convergence trace with round-trip float precision,
+    through a temporary file that replaces ``path`` once it is whole."""
     tr = result.trace
     # one conversion per column to Python ints, floats and strings; the csv
     # module writes a float as str(), which is its shortest round-trip repr
     columns = (tr.generation, tr.fes, tr.best_f, tr.best_phi, tr.phase, tr.eps, *tr.sr.T)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _replacing(path) as tmp, open(tmp, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
         writer.writerows(zip(*(column.tolist() for column in columns)))
@@ -267,11 +286,12 @@ def _run_job(job):
     problem, config, path = job
     result = run(problem, config)
     write_trace_csv(result, path)
-    return float(result.best.f), float(result.best.phi)
+    return (float(result.best.f), float(result.best.phi), result.generations,
+            result.switch_generation)
 
 
 def _write_json(path, record):
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -289,19 +309,24 @@ def execute(spec):
         else:
             outcomes = [_run_job(job) for job in spec.jobs]
 
-        # the final (f, phi) of every run, in job order: problem, algorithm, run
-        finals = np.array(outcomes).reshape(len(spec.problems), len(spec.algorithms),
-                                            spec.runs, 2)
+        # each run's final f and phi, generation count and switch generation,
+        # in job order: problem, algorithm, run
+        outcomes = np.array(outcomes, dtype=object).reshape(
+            len(spec.problems), len(spec.algorithms), spec.runs, 4)
+        finals = outcomes[..., :2].astype(float)
         cells = {}
         for p, (pid, dim) in enumerate(spec.problems):
             for a, algo in enumerate(spec.algorithms):
                 final_f, final_phi = finals[p, a].T
+                generations, switches = outcomes[p, a, :, 2:].T
                 feasible = final_phi == 0.0
                 mean, on_violation = cell_mean(final_f, final_phi)
                 s = summarize(final_phi if on_violation else final_f[feasible])
                 summary_on = "violation" if on_violation else "objective"
                 key = f"{pid}/D{dim}/{algo}"
                 cells[key] = dict(final_f=final_f.tolist(), final_phi=final_phi.tolist(),
+                                  generations=generations.tolist(),
+                                  switch_generation=switches.tolist(),
                                   feasibility_rate=float(np.mean(feasible)),
                                   summary_on=summary_on, cell_mean=mean,
                                   **s._asdict())
@@ -311,7 +336,7 @@ def execute(spec):
         friedman = None
         if len(spec.problems) >= 2 and len(spec.algorithms) >= 2:
             optima = [make_suite_problem(pid, dim).known_optimum for pid, dim in spec.problems]
-            matrix, ranked = friedman_matrix(finals[..., 0], finals[..., 1], optima)
+            matrix, ranked, ranks = friedman_matrix(finals[..., 0], finals[..., 1], optima)
             result = friedman_aligned(matrix)
             names = [f"{pid}/D{dim}" for pid, dim in spec.problems]
             friedman = {
@@ -322,6 +347,7 @@ def execute(spec):
                 "cells_on_violation": sorted(
                     key for key, cell in cells.items() if cell["summary_on"] == "violation"),
                 "avg_ranks": dict(zip(spec.algorithms, result.avg_ranks.tolist())),
+                "mean_ranks": dict(zip(spec.algorithms, ranks.mean(axis=0).tolist())),
                 "statistic": result.statistic,
                 "p_value": result.p_value,
                 "significant_at_0.05": result.p_value < 0.05,

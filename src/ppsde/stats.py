@@ -16,7 +16,8 @@ included, counting as 0 as in the CEC reports (Liang, Qu & Suganthan 2013).
 A row feasible in every run holds the objective column, one feasible in no
 run the violation column, and any other row its cells' average ranks under
 the key.  One tie rule serves every rank: positions equal in every key
-share the mean of their positions.
+share the mean of their positions.  Every row's ranks under the key, mixed
+or not, average over the problems into each algorithm's mean rank.
 """
 
 from __future__ import annotations
@@ -90,10 +91,11 @@ def cell_mean(final_f, final_phi):
 
 def friedman_matrix(final_f, final_phi, known_optima=None):
     """The aligned-ranks matrix of a batch, built as the module docstring
-    states, and the indices of its ranked rows.  ``final_f`` and ``final_phi``
-    hold every run's final objective and violation, shape (problems,
-    algorithms, runs).  ``known_optima`` holds each problem's optimum, or
-    None where a problem has none or keeps its raw objective."""
+    states, the indices of its ranked rows, and every row's ranks under the
+    key, shape (problems, algorithms).  ``final_f`` and ``final_phi`` hold
+    every run's final objective and violation, shape (problems, algorithms,
+    runs).  ``known_optima`` holds each problem's optimum, or None where a
+    problem has none or keeps its raw objective."""
     final_f, final_phi = (np.asarray(v, dtype=float) for v in (final_f, final_phi))
     optima = [None] * len(final_f) if known_optima is None else list(known_optima)
     if (final_f.ndim != 3 or final_f.shape != final_phi.shape or not final_f.size
@@ -106,11 +108,11 @@ def friedman_matrix(final_f, final_phi, known_optima=None):
               for f, f_star in zip(final_f, optima)]
     objective = np.array([[np.mean(e[ok]) if ok.any() else np.inf for e, ok in zip(es, oks)]
                           for es, oks in zip(errors, feasible)])
+    ranks = np.array([_average_ranks(-r, v, o) for r, v, o in zip(rate, violation, objective)])
     matrix = np.where(rate > 0.0, objective, violation)
     ranked = [p for p, ok in enumerate(feasible) if ok.any() and not ok.all()]
-    for p in ranked:
-        matrix[p] = _average_ranks(-rate[p], violation[p], objective[p])
-    return matrix, ranked
+    matrix[ranked] = ranks[ranked]
+    return matrix, ranked, ranks
 
 
 def _average_ranks(*keys):

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ppsde
@@ -126,6 +127,26 @@ def test_the_export_check_finds_a_name_only_tests_use():
     unit_test = "from m import tested\ntested()\n"
     assert _unreferenced_exports({"m.py": module}, [caller]) == [("m.py", "tested")]
     assert _unreferenced_exports({"m.py": module}, [caller, unit_test]) == []
+
+
+def test_no_module_reads_the_evaluation_alias():
+    # Point.evaluation returns the record itself for the benchmark's run
+    # digest; the package reads the flat fields
+    readers = [(path.name, node.lineno)
+               for path in sorted(Path(ppsde.__file__).parent.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Attribute) and node.attr == "evaluation"]
+    assert readers == []
+
+
+def test_an_evaluated_point_holds_a_copy_of_its_vector():
+    problem = ppsde.make_suite_problem("P2", 3)
+    x = np.full(3, 0.25)
+    point = ppsde.evaluate(problem, x)
+    assert point.x.tolist() == [0.25] * 3
+    x[:] = 1.0
+    assert point.x.tolist() == [0.25] * 3
+    assert point.evaluation is point
 
 
 def test_version_matches_project_metadata():

@@ -15,8 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 import ppsde
+from ppsde import cli
 from ppsde.cli import (
     TRACE_COLUMNS,
     ExperimentSpec,
@@ -566,6 +568,42 @@ class TestTraceCsv:
             read_trace_csv(str(path))
 
 
+class _Unlistable(np.ndarray):
+    # a trace column that cannot be converted, so a write raises partway
+    def tolist(self):
+        raise RuntimeError("unlistable column")
+
+
+class TestAtomicWrites:
+    def test_a_failed_trace_write_leaves_no_file(self, tmp_path):
+        """A trace write that raises after its header leaves neither the
+        trace nor a temporary file, and a failed rewrite leaves the old
+        trace whole."""
+        res = run(make_suite_problem("P2", 2), RunConfig(seed=0, **FAST))
+        broken = dataclasses.replace(res, trace=dataclasses.replace(
+            res.trace, eps=res.trace.eps.view(_Unlistable)))
+        path = tmp_path / "trace.csv"
+        with pytest.raises(RuntimeError, match="unlistable"):
+            write_trace_csv(broken, str(path))
+        assert os.listdir(tmp_path) == []
+        write_trace_csv(res, str(path))
+        whole = path.read_bytes()
+        with pytest.raises(RuntimeError, match="unlistable"):
+            write_trace_csv(broken, str(path))
+        assert os.listdir(tmp_path) == ["trace.csv"]
+        assert path.read_bytes() == whole
+
+    def test_a_failed_report_write_leaves_no_file(self, tmp_path):
+        # json.dump writes the keys before the value it cannot encode
+        with pytest.raises(TypeError):
+            cli._write_json(str(tmp_path / "summary.json"), {"a": 1, "b": object()})
+        assert os.listdir(tmp_path) == []
+
+    def test_a_batch_leaves_no_temporary_file(self, tmp_path):
+        assert execute(fast_spec(tmp_path / "out", workers=2)) == 0
+        assert not [n for n in os.listdir(tmp_path / "out") if n.endswith(".tmp")]
+
+
 class TestExecute:
     def test_small_batch_end_to_end(self, tmp_path, capsys):
         out = tmp_path / "batch"
@@ -621,7 +659,11 @@ class TestExecute:
                     sample = last_f[feasible] if feasible.any() else last_phi
                     if not feasible.any():
                         on_violation.append(key)
-                    assert summary["cells"][key] == {
+                    # test_run_counts_match_direct_runs checks the switch generations
+                    cell = dict(summary["cells"][key])
+                    assert cell.pop("generations") == [len(tr["generation"]) for tr in traces]
+                    assert len(cell.pop("switch_generation")) == spec.runs
+                    assert cell == {
                         "final_f": last_f.tolist(), "final_phi": last_phi.tolist(),
                         "feasibility_rate": np.mean(feasible),
                         "summary_on": "objective" if feasible.any() else "violation",
@@ -659,6 +701,31 @@ class TestExecute:
                                          for algo in ALGORITHMS]
         ranks = friedman["avg_ranks"]
         assert ranks["pps-de"] == max(ranks.values())
+        # the P1 row ranks its cell means, the means of its error values
+        p1_ranks = rankdata(friedman["matrix"][1])
+        assert friedman["mean_ranks"] == dict(zip(ALGORITHMS, (p1_ranks + [3.0, 1.0, 2.0]) / 2))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_counts_match_direct_runs(self, tmp_path, workers):
+        """Each cell lists its runs' generation counts and switch
+        generations in run order, null for a run that never switched, as
+        ``run`` gives them on the same jobs, in a serial or a parallel batch."""
+        spec = fast_spec(tmp_path / "out", problems=(("P2", 2), ("P4", 2)), algorithms=ALGORITHMS,
+                         overrides={**FAST, "max_fes": 1000, "learning_period": 3},
+                         workers=workers)
+        assert execute(spec) == 0
+        cells = json.loads((tmp_path / "out" / "summary.json").read_text())["cells"]
+        switches = []
+        for problem, config, _ in spec.jobs:
+            cell = cells[f"{problem.name}/D{problem.dim}/{config.algorithm}"]
+            i = config.seed - spec.base_seed
+            direct = run(problem, config)
+            assert cell["generations"][i] == direct.generations
+            assert cell["switch_generation"][i] == direct.switch_generation
+            switches.append(direct.switch_generation)
+        assert any(s is not None for s in switches)
+        assert all(cell["switch_generation"] == [None] * spec.runs
+                   for key, cell in cells.items() if not key.endswith("pps-de"))
 
     def test_seed_derivation_matches_direct_run(self, tmp_path):
         out = tmp_path / "batch"

@@ -86,7 +86,7 @@ class TestFriedmanMatrix:
     def test_rows_of_one_kind_keep_their_cell_means(self):
         final_f = [[[1.0, 3.0], [2.0, 2.0]], [[9.0, 9.0], [1.0, 1.0]]]
         final_phi = [[[0.0, 0.0], [0.0, 0.0]], [[1.0, 3.0], [0.5, 0.5]]]
-        matrix, ranked = friedman_matrix(final_f, final_phi)
+        matrix, ranked, _ = friedman_matrix(final_f, final_phi)
         assert matrix.tolist() == [[2.0, 2.0], [2.0, 0.5]]
         assert ranked == []
 
@@ -94,7 +94,7 @@ class TestFriedmanMatrix:
         # two runs per cell; an infeasible run's objective never counts
         final_f = [[[9, 9], [1, -50], [5, -50], [2, -50], [0, 0], [7, 7]]]
         final_phi = [[[0, 0], [0, 2], [0, 1], [0, 2], [0.1, 0.1], [0.1, 0.1]]]
-        matrix, ranked = friedman_matrix(final_f, final_phi)
+        matrix, ranked, _ = friedman_matrix(final_f, final_phi)
         assert matrix.tolist() == [[1.0, 3.0, 2.0, 4.0, 5.5, 5.5]]
         assert ranked == [0]
 
@@ -108,20 +108,21 @@ class TestFriedmanMatrix:
 
         final_f = draw(st.sampled_from([0.0, 1.0, 2.0]))
         final_phi = draw(st.sampled_from([0.0, 0.0, 0.5, 1.0]))
-        matrix, ranked = friedman_matrix(final_f, final_phi)
+        matrix, ranked, ranks = friedman_matrix(final_f, final_phi)
         for p, (fs, phis) in enumerate(zip(final_f, final_phi)):
             ok = phis == 0.0
-            if ok.all() or not ok.any():
-                assert p not in ranked
-                assert matrix[p].tolist() == [cell_mean(f, phi)[0] for f, phi in zip(fs, phis)]
-                continue
-            assert p in ranked
             keys = [(-np.mean(o), np.mean(phi), np.mean(f[o]) if o.any() else np.inf)
                     for f, phi, o in zip(fs, phis, ok)]
             order = sorted(keys)
             expected = [np.mean([i + 1 for i, k in enumerate(order) if k == key])
                         for key in keys]
-            assert matrix[p].tolist() == expected
+            assert ranks[p].tolist() == expected
+            if ok.all() or not ok.any():
+                assert p not in ranked
+                assert matrix[p].tolist() == [cell_mean(f, phi)[0] for f, phi in zip(fs, phis)]
+            else:
+                assert p in ranked
+                assert matrix[p].tolist() == expected
 
 
 class TestErrorValues:
@@ -134,10 +135,10 @@ class TestErrorValues:
         final_f = np.zeros((3, 3, 5))
         final_f[1] = (optima[1] + np.array([-5.55e-17, -2.78e-17, 0.0]))[:, None]
         final_phi = np.zeros_like(final_f)
-        raw, _ = friedman_matrix(final_f, final_phi)
+        raw, _, _ = friedman_matrix(final_f, final_phi)
         assert len(set(raw[1])) == 3
         assert len(set(friedman_aligned(raw).avg_ranks)) == 3
-        matrix, ranked = friedman_matrix(final_f, final_phi, optima)
+        matrix, ranked, _ = friedman_matrix(final_f, final_phi, optima)
         assert matrix.tolist() == [[0.0] * 3] * 3 and ranked == []
         np.testing.assert_array_equal(friedman_aligned(matrix).avg_ranks, [5.0, 5.0, 5.0])
 
@@ -146,7 +147,7 @@ class TestErrorValues:
         # 0, and the problem without an optimum keeps its objective
         final_f = [[[0.5 + 2e-8, 0.5 + 3e-8], [0.4, 0.5 + 1e-9]], [[7.0, 7.0], [9.0, 9.0]]]
         final_phi = np.zeros((2, 2, 2))
-        matrix, ranked = friedman_matrix(final_f, final_phi, [0.5, None])
+        matrix, ranked, _ = friedman_matrix(final_f, final_phi, [0.5, None])
         assert matrix.tolist() == [[np.mean(np.array(final_f[0][0]) - 0.5), 0.0], [7.0, 9.0]]
         assert ranked == []
 
@@ -155,8 +156,20 @@ class TestErrorValues:
         final_f = [[[1e-9, -1.0], [0.0, 0.0], [5.0, 5.0]]]
         final_phi = [[[0.0, 0.0], [0.0, 0.0], [0.0, 2.0]]]
         assert friedman_matrix(final_f, final_phi)[0].tolist() == [[1.0, 2.0, 3.0]]
-        matrix, ranked = friedman_matrix(final_f, final_phi, [0.0])
+        matrix, ranked, _ = friedman_matrix(final_f, final_phi, [0.0])
         assert matrix.tolist() == [[1.5, 1.5, 3.0]] and ranked == [0]
+
+    def test_every_row_ranks_under_the_key(self):
+        """Row 0 is mixed: a cell feasible in both runs at error 1, one in
+        one run, and one in both at error 4, ranked 1, 3 and 2.  Row 1 is
+        feasible in every run at error 0 in every cell, an all-tie row of
+        ranks 2.0 each.  The mean ranks are 1.5, 2.5 and 2.0."""
+        final_f = [[[1.0, 1.0], [0.0, 9.0], [4.0, 4.0]], [[0.0, 0.0], [1e-9, 0.0], [0.0, -1.0]]]
+        final_phi = [[[0.0, 0.0], [0.0, 3.0], [0.0, 0.0]], [[0.0, 0.0]] * 3]
+        matrix, ranked, ranks = friedman_matrix(final_f, final_phi, [0.0, 0.0])
+        assert ranks.tolist() == [[1.0, 3.0, 2.0], [2.0, 2.0, 2.0]]
+        assert ranks.mean(axis=0).tolist() == [1.5, 2.5, 2.0]
+        assert ranked == [0] and matrix.tolist() == [[1.0, 3.0, 2.0], [0.0, 0.0, 0.0]]
 
     def test_validation(self):
         with pytest.raises(ValueError):
