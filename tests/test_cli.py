@@ -599,10 +599,6 @@ class TestAtomicWrites:
             cli._write_json(str(tmp_path / "summary.json"), {"a": 1, "b": object()})
         assert os.listdir(tmp_path) == []
 
-    def test_a_batch_leaves_no_temporary_file(self, tmp_path):
-        assert execute(fast_spec(tmp_path / "out", workers=2)) == 0
-        assert not [n for n in os.listdir(tmp_path / "out") if n.endswith(".tmp")]
-
 
 class TestExecute:
     def test_small_batch_end_to_end(self, tmp_path, capsys):
@@ -709,11 +705,13 @@ class TestExecute:
     def test_run_counts_match_direct_runs(self, tmp_path, workers):
         """Each cell lists its runs' generation counts and switch
         generations in run order, null for a run that never switched, as
-        ``run`` gives them on the same jobs, in a serial or a parallel batch."""
+        ``run`` gives them on the same jobs, in a serial or a parallel batch
+        that leaves no temporary file."""
         spec = fast_spec(tmp_path / "out", problems=(("P2", 2), ("P4", 2)), algorithms=ALGORITHMS,
                          overrides={**FAST, "max_fes": 1000, "learning_period": 3},
                          workers=workers)
         assert execute(spec) == 0
+        assert not [name for name in os.listdir(tmp_path / "out") if name.endswith(".tmp")]
         cells = json.loads((tmp_path / "out" / "summary.json").read_text())["cells"]
         switches = []
         for problem, config, _ in spec.jobs:
