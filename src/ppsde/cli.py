@@ -48,18 +48,10 @@ _OVERRIDE_FIELDS = tuple(
 )
 
 
-def number(text):
-    """An int where the text is one, else a float; argparse names it in its errors."""
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
-
-
 # each flag under its dest: the flag, its default, the type that both the flag
 # and its config-file value read as, and its help; a tuple default marks a
 # repeatable flag and a comma-separated file value, and a None default leaves
-# a RunConfig field unset; a RunConfig field without a flag reads as a number
+# a RunConfig field unset; a RunConfig field without a flag reads as a float
 _SETTINGS = {
     "problem": ("--problem", (), str, "suite problem id (P1..P5 or full name); repeatable"),
     "dim": ("--dim", (10,), int, "dimension, crossed with every problem; repeatable"),
@@ -67,9 +59,9 @@ _SETTINGS = {
              f"algorithm, one of {', '.join(ALGORITHMS)}; repeatable"),
     "runs": ("--runs", 25, int, "independent runs per cell"),
     "seed": ("--seed", 0, int, "base seed; run i uses seed + i"),
-    "max_fes": ("--max-fes", None, number, "evaluation budget per run"),
-    "n_pop": ("--pop", None, number, "population size"),
-    "top_size": ("--top", None, number, "top sub-population size"),
+    "max_fes": ("--max-fes", None, float, "evaluation budget per run"),
+    "n_pop": ("--pop", None, float, "population size"),
+    "top_size": ("--top", None, float, "top sub-population size"),
     "out": ("--out", "results", str, "output directory"),
     "workers": ("--workers", 1, int, "worker processes that the batch's runs are split across"),
 }
@@ -88,8 +80,9 @@ class ExperimentSpec:
     an override that some cell cannot use raises too.
     ``jobs`` holds each run's problem, resolved config and trace path, in
     problem, algorithm, run order.  Problem ids are kept in full form, and
-    numbers as ints.  The spec is frozen and keeps a read-only copy of the
-    overrides, so a checked batch stays checked.
+    numbers as ints, each override as the whole number its runs use.  The
+    spec is frozen and keeps the algorithms as a tuple and a read-only copy
+    of the overrides, so a checked batch stays checked.
     """
 
     problems: tuple
@@ -103,7 +96,7 @@ class ExperimentSpec:
 
     def __post_init__(self):
         cells = tuple((canonical_problem_id(p), dim) for p, dim in self.problems)
-        algos = self.algorithms
+        algos = tuple(self.algorithms)
         # a repeated cell would write its traces twice under one name
         checks = (
             (len(cells) >= 1, "at least one problem is required"),
@@ -127,10 +120,13 @@ class ExperimentSpec:
                     path = os.path.join(self.out_dir, f"{short}_d{dim}_{algo}_run{i:02d}.csv")
                     jobs.append((problem, _resolve(problem, config), path))
         object.__setattr__(self, "problems", tuple((pid, p.dim) for pid, p in built))
+        object.__setattr__(self, "algorithms", algos)
         object.__setattr__(self, "runs", runs)
         object.__setattr__(self, "base_seed", base_seed)
         object.__setattr__(self, "workers", workers)
-        object.__setattr__(self, "overrides", MappingProxyType(dict(self.overrides)))
+        # each job's _resolve has checked every override by the count rule
+        object.__setattr__(self, "overrides", MappingProxyType(
+            {key: None if value is None else int(value) for key, value in self.overrides.items()}))
         object.__setattr__(self, "jobs", tuple(jobs))
 
 
@@ -180,7 +176,7 @@ def _file_value(parser, key, text):
     """One config-file value read as its setting's type; a bad value exits 2."""
     if key not in _SETTINGS and key not in _OVERRIDE_FIELDS:
         parser.error(f"unknown config key {key!r}")
-    default, cast = _SETTINGS[key][1:3] if key in _SETTINGS else (None, number)
+    default, cast = _SETTINGS[key][1:3] if key in _SETTINGS else (None, float)
     listed = isinstance(default, tuple)
     parts = [p.strip() for p in text.split(",") if p.strip()] if listed else [text]
     try:
@@ -216,7 +212,7 @@ def parse_args(argv):
     try:
         return ExperimentSpec(
             problems=tuple((pid, dim) for pid in s["problem"] for dim in s["dim"]),
-            algorithms=tuple(s["algo"]), runs=s["runs"], base_seed=s["seed"],
+            algorithms=s["algo"], runs=s["runs"], base_seed=s["seed"],
             out_dir=s["out"], overrides=overrides, workers=s["workers"])
     except ValueError as exc:
         parser.error(str(exc))

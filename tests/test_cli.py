@@ -130,8 +130,9 @@ class TestParseArgs:
         ("--top", "top", "2.5", 2.5),
     ])
     def test_flag_and_file_read_a_number_alike(self, tmp_path, capsys, flag, key, text, value):
-        """A flag and its file key read a number alike; a size that is not a
-        whole number then fails the batch check alike, with exit code 2."""
+        """A flag and its file key read a number alike, and the spec stores a
+        whole one as an int; a size that is not a whole number fails the batch
+        check alike, with exit code 2."""
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"problem = P1\n{key} = {text}\n")
         outcomes = []
@@ -147,14 +148,20 @@ class TestParseArgs:
             assert code == 2 and "must be a whole number" in err
         else:
             (got,) = by_flag.overrides.values()
-            assert got == value and type(got) is type(value)
+            assert got == value and type(got) is int
 
     @pytest.mark.parametrize("flag", ["--max-fes", "--pop", "--top"])
     def test_a_flag_that_is_not_a_number_exits_2(self, capsys, flag):
         with pytest.raises(SystemExit) as exc:
             parse_args(["run", "--problem", "P1", flag, "many"])
         assert exc.value.code == 2
-        assert "invalid number value: 'many'" in capsys.readouterr().err
+        assert "invalid float value: 'many'" in capsys.readouterr().err
+
+    def test_a_budget_written_as_a_float_is_the_int_its_runs_use(self):
+        by_float = parse_args(["run", "--problem", "P1", "--max-fes", "1e2"])
+        by_int = parse_args(["run", "--problem", "P1", "--max-fes", "100"])
+        assert by_float == by_int
+        assert type(by_float.overrides["max_fes"]) is int and by_float.overrides["max_fes"] == 100
 
     @pytest.mark.parametrize("argv", [
         ["run"],
@@ -439,6 +446,14 @@ class TestExperimentSpec:
         assert summary == (tmp_path / "int" / "summary.json").read_bytes()
         assert b'"base_seed": 1,' in summary
 
+    def test_a_whole_float_override_writes_the_same_summary(self, tmp_path):
+        spec = dict(problems=(("P1-sphere-shifted", 2),), algorithms=("pps-de",), runs=1)
+        assert execute(fast_spec(tmp_path / "int", overrides={"max_fes": 100}, **spec)) == 0
+        assert execute(fast_spec(tmp_path / "float", overrides={"max_fes": 100.0}, **spec)) == 0
+        summary = (tmp_path / "float" / "summary.json").read_bytes()
+        assert summary == (tmp_path / "int" / "summary.json").read_bytes()
+        assert b'"max_fes": 100\n' in summary
+
     def test_jobs_are_derived_not_compared(self, tmp_path):
         spec = fast_spec(tmp_path)
         assert len(spec.jobs) == 8 and "jobs=" not in repr(spec)
@@ -456,6 +471,13 @@ class TestExperimentSpec:
         assert execute(spec) == 0
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["overrides"] == FAST
+
+    def test_algorithms_are_a_tuple_copy(self, tmp_path):
+        given = ["pps-de"]
+        spec = fast_spec(tmp_path, problems=(("P1-sphere-shifted", 2),), algorithms=given, runs=1)
+        given.append("sf-de")  # a later change to the caller's list does not reach the spec
+        assert spec.algorithms == ("pps-de",)
+        assert execute(spec) == 0
 
     def test_a_checked_batch_cannot_be_changed(self, tmp_path):
         spec = fast_spec(tmp_path)

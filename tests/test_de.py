@@ -30,6 +30,21 @@ def box_problem(dim=3, lower=-5.0, upper=5.0):
                    objective=lambda xs: (xs**2).sum(axis=-1), name="box")
 
 
+class _Draws:
+    """A generator stub: the given Cauchy draws in order, then 0.0 for every draw."""
+
+    def __init__(self, cauchy=()):
+        self._cauchy = list(cauchy)
+
+    def random(self, size):
+        return np.zeros(size)
+
+    standard_normal = random
+
+    def standard_cauchy(self, size):
+        return np.array([self._cauchy.pop(0) if self._cauchy else 0.0 for _ in range(size)])
+
+
 class TestImprovementWeights:
     def test_proportional_to_deltas(self):
         np.testing.assert_allclose(improvement_weights([1.0, 3.0]), [0.25, 0.75])
@@ -213,6 +228,12 @@ class TestParameterMemory:
             f, cr = mem.sample_parameters_many(strategy, 20000, rng)
             assert np.all(f > 0.0) and np.all(f <= 1.0)
             assert np.all(cr >= 0.0) and np.all(cr <= 1.0)
+
+    def test_a_cauchy_draw_of_exactly_zero_is_redrawn(self):
+        # cell 0.5 and a first draw of -5.0 give F = 0.5 - 0.5 = 0.0 exactly
+        rng = _Draws(cauchy=[-5.0, 0.0])
+        f, _ = ParameterMemory(length=1).sample_parameters_many(Strategy.RAND_1_BIN, 1, rng)
+        assert f[0] == 0.5
 
 
 @st.composite
@@ -434,6 +455,11 @@ class TestStrategyStats:
         freq = np.bincount(picks, minlength=3) / 20000
         np.testing.assert_allclose(freq, [0.8, 0.2, 0.0], atol=0.02)
         assert not np.any(picks == 2)
+
+    def test_a_strategy_with_rate_zero_is_never_drawn(self):
+        # a uniform draw of 0.0 lands on the first edge, which the zero-rate
+        # strategy 0 shares with the start of strategy 1
+        assert select_strategies(np.array([0.0, 0.5, 0.5]), 1, _Draws()).tolist() == [1]
 
 
 class TestPoolSize:

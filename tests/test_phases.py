@@ -221,6 +221,18 @@ class TestEpsilonSchedule:
             assert bits(sched.level(int(k), ratio)) == bits(level) == bits(column[i])
 
 
+class TestEpsLevel:
+    """The feasible share that ends ε's shrinking, written as literals so that a
+    change to ``FEASIBLE_TRIGGER`` or to its comparison shows."""
+
+    def test_shrinks_below_95_percent_feasible(self):
+        assert eps_level(1.0, 5, 0.92, 2.0, 100) == 0.9
+
+    def test_decays_at_exactly_95_percent_feasible(self):
+        # 19 feasible members of 20, as a run at N = 20 meets it
+        assert eps_level(1.0, 5, 19 / 20, 2.0, 100) == 2.0 * (1 - 5 / 100) ** 2
+
+
 class TestInitialEps:
     """``initial_eps`` is ``np.quantile`` of the capped violations, bit for bit."""
 
